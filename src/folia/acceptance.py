@@ -9,10 +9,9 @@ timings), so the rendered report is byte-identical between runs.  The
 to the exit code.
 
 Independent work items inside a criterion run through
-:func:`parallel_map`, whose pool size is capped by the
-``FOLIATION_THREADS`` environment variable.  Results are assembled by
-input index, never by completion order, so the report does not depend
-on the thread count either.
+:func:`parallel_map`, which maps over them serially and in input order.
+The work is pure Python and holds the interpreter lock, so threads do not
+speed it up; ``FOLIATION_THREADS`` is accepted and ignored.
 
 ``run_acceptance(rel_tol=...)`` exists as a negative control: it
 replaces the quadrature and integrator tolerances in the holonomy
@@ -23,9 +22,7 @@ rather than quietly return numbers.
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,31 +62,10 @@ def _f(x: float) -> str:
     return f"{fmt_float(x):.12g}"
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("FOLIATION_THREADS", "")
-    try:
-        n = int(raw) if raw else 0
-    except ValueError as e:
-        raise InputError(f"FOLIATION_THREADS must be an integer: {raw!r}") from e
-    if n <= 0:
-        n = min(4, os.cpu_count() or 1)
-    return n
-
-
-def parallel_map(fn, items, threads: int | None = None) -> list:
-    """Map over independent items, results in input order.
-
-    The pool size is ``threads`` if given, else the FOLIATION_THREADS
-    cap.  Item computations must not share mutable state; under that
-    contract the output is identical for every pool size.
-    """
-    items = list(items)
-    n = threads if threads is not None else thread_cap()
-    n = max(1, min(n, len(items) or 1))
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn, items) -> list:
+    """Map ``fn`` over independent items in the calling thread, results
+    in input order."""
+    return [fn(it) for it in items]
 
 
 @dataclass
@@ -310,10 +286,6 @@ def criterion_4_integral_identity(ode_rtol: float | None = None) -> CriterionRes
 # criterion 5: Picard-Lefschetz data of hyperelliptic fibrations
 
 
-def _mat_vec(m, v):
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in m)
-
-
 def _preserves(mat, s) -> bool:
     n = len(s)
     for i in range(n):
@@ -326,6 +298,8 @@ def _preserves(mat, s) -> bool:
 
 
 def _det_int(mat) -> int:
+    # Fraction elimination, kept apart from monodromy._int_det on purpose:
+    # this is criterion 5's independent oracle for det = 1.
     m = [list(map(Fraction, row)) for row in mat]
     n = len(m)
     det = Fraction(1)
@@ -558,10 +532,8 @@ def criterion_8_determinism() -> CriterionResult:
     def render(t):
         return f"{fmt_float(math.sin(t) * math.exp(t / 8.0)):.12g}"
 
-    serial = parallel_map(render, probe, threads=1)
-    pooled = parallel_map(render, probe, threads=3)
-    if serial != pooled:
-        fails.append("parallel rendering differed between 1 and 3 threads")
+    if parallel_map(render, probe) != [render(t) for t in probe]:
+        fails.append("mapped rendering differed from the plain loop")
 
     detail = ("1000/1000 polynomials reparsed to themselves exactly; "
               "rendered output is identical across thread counts")

@@ -10,12 +10,16 @@ Contract:
   canonical JSON by default or a CSV projection with ``--format csv``
   on the tabular commands;
 * exit code 0 on success, 2 on bad input (unknown command, missing or
-  malformed file, bad flag), 3 on numeric failure (a computation that
-  could not meet its accuracy contract, or a failing selftest);
+  malformed file, bad or non-finite flag), 3 on numeric failure (a
+  computation that could not meet its accuracy contract, or a failing
+  selftest) and on any internal error;
 * every error path prints a single-line JSON object
-  ``{"error": ..., "exit_code": ...}`` on stderr;
-* ``FOLIATION_THREADS`` caps worker threads, and the output bytes do
-  not depend on its value.
+  ``{"error": ..., "exit_code": ...}`` on stderr, never a traceback;
+* the commands run serially; ``FOLIATION_THREADS`` is ignored.
+
+Tolerance flags belong to the commands that read them:
+``--root-residual-tol`` (sing), ``--ratio-band`` (sing, classify, log),
+``--quadrature-rel-tol`` (melnikov) and ``--holonomy-rtol`` (holonomy).
 
 ``--config FILE`` reads a JSON object whose keys mirror the long flag
 names of the chosen subcommand (``{"t0": 0.1, "samples": 9}``); unknown
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .acceptance import parallel_map, render_report, run_acceptance
@@ -36,7 +41,7 @@ from .flow import ATOL, RTOL, cycle_through_level, holonomy, trace_cycle
 from .foliation import (CENTER_BAND, RESID_ACCEPT, classify_singularity,
                         count_centers, dulac_family, expected_center_count,
                         find_singularities, integrability_obstruction,
-                        logarithmic, pullback_form)
+                        logarithmic, pullback_form, residual_scale)
 from .formats import (canonical_json, load_form, load_json_file, load_map,
                       load_record, parse_residue, record_payload, rows_to_csv)
 from .gaussmanin import brieskorn_basis, brieskorn_reduce, picard_fuchs
@@ -51,26 +56,30 @@ COMMANDS = ("sing", "classify", "log", "dulac", "pullback", "integrability",
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
 
+# each tolerance field of RunConfig and the commands whose flags set it
+_TOLERANCES = {
+    "root_residual_tol": ("sing",),
+    "ratio_band": ("sing", "classify", "log"),
+    "quadrature_rel_tol": ("melnikov",),
+    "holonomy_rtol": ("holonomy",),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated bundle of everything one invocation depends on.
 
     The tolerances keep the library defaults unless overridden; the
-    grid is only populated by the sweep commands.  ``seed`` is carried
-    for reproducibility bookkeeping; every current command is fully
-    deterministic and does not consume it.
+    grid is only populated by the sweep commands.
     """
 
     command: str
-    paths: dict = field(default_factory=dict)
     root_residual_tol: float = RESID_ACCEPT
     ratio_band: float = CENTER_BAND
     quadrature_rel_tol: float = REL_TOL
     holonomy_rtol: float = RTOL
     grid: tuple = ()
     output_format: str = "json"
-    seed: int = 0
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -78,15 +87,17 @@ class RunConfig:
                 f"unknown command {self.command!r}; commands are "
                 + ", ".join(COMMANDS)
             )
-        for name in ("root_residual_tol", "ratio_band",
-                     "quadrature_rel_tol", "holonomy_rtol"):
+        for name in _TOLERANCES:
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0.0):
-                raise InputError(f"{name} must be a positive number, got {v!r}")
+            if not (isinstance(v, (int, float)) and 0.0 < v < math.inf):
+                raise InputError(
+                    f"{name} must be a positive finite number, got {v!r}")
         if self.output_format not in ("json", "csv"):
             raise InputError(
                 f"output format must be 'json' or 'csv', got {self.output_format!r}"
             )
+        if not all(math.isfinite(t) for t in self.grid):
+            raise InputError("the level grid must be finite")
         if self.command in ("melnikov", "holonomy") and not self.grid:
             raise InputError(f"{self.command} needs a nonempty level grid")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -99,12 +110,20 @@ class RunConfig:
 
 def _scalar(text: str, what: str) -> float:
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        try:
-            return float(text)
-        except ValueError:
-            raise InputError(f"cannot read {what} from {text!r}") from None
+        return float(Fraction(text))    # inf and nan are not fractions
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"{what} must be a finite number, got {text!r}") from None
+
+
+def _finite_float(text) -> float:
+    """argparse type of the float flags."""
+    try:
+        v = float(text)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return v
 
 
 def _point(text: str, what: str) -> tuple[float, float]:
@@ -167,10 +186,14 @@ def _cmd_sing(args, cfg: RunConfig):
     record = load_record(args.form)
     points = find_singularities(record)
     for sp in points:
-        if sp.residual > cfg.root_residual_tol:
+        # the finder accepts by a residual relative to the field's scale
+        # at the point; the gate compares on that same scale
+        scale = residual_scale(record, sp.x, sp.y)
+        if sp.residual > cfg.root_residual_tol * scale:
             raise NumericError(
                 f"singular point near ({sp.x}, {sp.y}) has residual "
-                f"{sp.residual:.3e} above the gate {cfg.root_residual_tol:.3e}"
+                f"{sp.residual:.3e} above the gate "
+                f"{cfg.root_residual_tol:.3e} relative to the field's scale"
             )
     payload = [_point_payload(classify_singularity(record, sp.location,
                                                    band=cfg.ratio_band))
@@ -379,11 +402,6 @@ def _build_parsers():
     common = _Parser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--config", default=None)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--root-residual-tol", type=float, default=RESID_ACCEPT)
-    common.add_argument("--ratio-band", type=float, default=CENTER_BAND)
-    common.add_argument("--quadrature-rel-tol", type=float, default=REL_TOL)
-    common.add_argument("--holonomy-rtol", type=float, default=RTOL)
 
     top = _Parser(prog="folia", allow_abbrev=False,
                   description="plane polynomial foliation workbench")
@@ -392,6 +410,11 @@ def _build_parsers():
 
     def add(name, **kw):
         p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kw)
+        for dest, commands in _TOLERANCES.items():
+            if name in commands:
+                # unset flags leave the RunConfig default in place
+                p.add_argument("--" + dest.replace("_", "-"),
+                               type=_finite_float, default=argparse.SUPPRESS)
         parsers[name] = p
         return p
 
@@ -423,7 +446,7 @@ def _build_parsers():
 
     p = add("holonomy", help="return map along level cycles")
     p.add_argument("--form", required=True)
-    p.add_argument("--t", action="append", type=float, default=[])
+    p.add_argument("--t", action="append", type=_finite_float, default=[])
     p.add_argument("--seed-point", default=None)
     p.add_argument("--center", default=None)
     p.add_argument("--direction", default=None)
@@ -431,8 +454,8 @@ def _build_parsers():
     p = add("melnikov", help="first Melnikov function over a level grid")
     p.add_argument("--base", required=True)
     p.add_argument("--pert", required=True)
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=_finite_float, required=True)
+    p.add_argument("--t1", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--center", default=None)
 
@@ -450,7 +473,7 @@ def _build_parsers():
 
     p = sub.add_parser("selftest", allow_abbrev=False,
                        help="run the acceptance criteria")
-    p.add_argument("--rel-tol", type=float, default=None)
+    p.add_argument("--rel-tol", type=_finite_float, default=None)
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers to run")
     parsers["selftest"] = p
@@ -496,10 +519,11 @@ def _apply_config(argv: list, parsers: dict, command: str):
         if dest not in known or dest in ("help", "config"):
             raise InputError(f"{path}: unknown config key {key!r} for {command!r}")
         action = next(a for a in parser._actions if a.dest == dest)
-        if action.type is not None and not isinstance(value, (list, type(None))):
+        if action.type is not None and value is not None:
             try:
-                value = action.type(value)
-            except (TypeError, ValueError) as e:
+                value = ([action.type(v) for v in value]
+                         if isinstance(value, list) else action.type(value))
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
                 raise InputError(f"{path}: bad value for {key!r}: {e}") from e
         overrides[dest] = value
     parser.set_defaults(**overrides)
@@ -559,16 +583,9 @@ def run(argv) -> int:
 
     cfg = RunConfig(
         command=args.command,
-        paths={k: v for k, v in vars(args).items()
-               if k in ("form", "base", "pert", "map", "omega")
-               and isinstance(v, str)},
-        root_residual_tol=args.root_residual_tol,
-        ratio_band=args.ratio_band,
-        quadrature_rel_tol=args.quadrature_rel_tol,
-        holonomy_rtol=args.holonomy_rtol,
         grid=_grid_from_args(args.command, args),
         output_format=args.format,
-        seed=args.seed,
+        **{k: v for k, v in vars(args).items() if k in _TOLERANCES},
     )
     payload, rows, columns = _HANDLERS[args.command](args, cfg)
     if cfg.output_format == "csv":
@@ -585,13 +602,11 @@ def run(argv) -> int:
 def main() -> None:
     try:
         code = run(sys.argv[1:])
-    except InputError as e:
-        sys.stderr.write(json.dumps({"error": str(e), "exit_code": 2}) + "\n")
-        sys.exit(2)
-    except NumericError as e:
-        sys.stderr.write(json.dumps({"error": str(e), "exit_code": 3}) + "\n")
-        sys.exit(3)
-    except FoliaError as e:
-        sys.stderr.write(json.dumps({"error": str(e), "exit_code": 3}) + "\n")
-        sys.exit(3)
+    except Exception as e:  # the contract: one JSON line, never a traceback
+        if isinstance(e, FoliaError):
+            code, message = (2 if isinstance(e, InputError) else 3), str(e)
+        else:
+            code, message = 3, f"internal error: {type(e).__name__}: {e}"
+        sys.stderr.write(
+            json.dumps({"error": message, "exit_code": code}) + "\n")
     sys.exit(code)

@@ -385,7 +385,8 @@ def cycle_through_level(record: FoliationRecord, center: Sequence[float],
         s_lo = s_hi
     if not found:
         raise NumericError(
-            f"could not bracket level {level} along the ray from {tuple(p)}"
+            f"could not bracket level {float(level)} along the ray from "
+            f"({float(p[0])}, {float(p[1])})"
         )
     s_star = brentq(g, s_lo, s_hi, xtol=1e-14, rtol=8.9e-16)
     return trace_cycle(record, p + s_star * u, num_points=num_points)

@@ -307,6 +307,12 @@ def _poly_scale(p: Poly, x: complex, y: complex) -> float:
     return (1.0 + _coeff_scale(p)) * (1.0 + m) ** d
 
 
+def residual_scale(record: FoliationRecord, x: complex, y: complex) -> float:
+    """Scale of the field (P, Q) near (x, y); singular-point residuals
+    |P| + |Q| are judged relative to it."""
+    return max(_poly_scale(record.P, x, y), _poly_scale(record.Q, x, y))
+
+
 def _roots_of_poly_in(p: Poly, var_index: int) -> np.ndarray:
     """Roots of an exact polynomial that depends on one variable only."""
     coeffs = p.univariate_in(var_index)
@@ -412,10 +418,9 @@ def find_singularities(record: FoliationRecord) -> list[SingularPoint]:
             )
         ycand = [y for arr in (yc_p, yc_q) if arr is not None for y in arr]
         for y0 in ycand:
-            scale = max(_poly_scale(p, x0, y0), _poly_scale(q, x0, y0))
+            scale = residual_scale(record, x0, y0)
             x1, y1, res = _newton_polish(fns, complex(x0), complex(y0), scale)
-            scale1 = max(_poly_scale(p, x1, y1), _poly_scale(q, x1, y1))
-            if res > RESID_ACCEPT * scale1:
+            if res > RESID_ACCEPT * residual_scale(record, x1, y1):
                 continue
             if max(abs(x1.real), abs(x1.imag), abs(y1.real), abs(y1.imag)) > BOX_LIMIT:
                 continue
@@ -459,8 +464,7 @@ def classify_singularity(record: FoliationRecord,
     p, q = record.P, record.Q
     pf, qf = record.field_callables()
     res = abs(pf(x, y)) + abs(qf(x, y))
-    scale = max(_poly_scale(p, x, y), _poly_scale(q, x, y))
-    if res > SINGULAR_PRECHECK * scale:
+    if res > SINGULAR_PRECHECK * residual_scale(record, x, y):
         raise InputError(
             f"({x}, {y}) is not a singular point (residual {res:.3e})"
         )

@@ -16,6 +16,7 @@ offset of the first offending character.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -132,6 +133,8 @@ def parse_residue(entry: Any, path: str) -> GaussianRational:
     """Residues may be ints, fraction strings like '3/4', or [re, im]."""
     if isinstance(entry, bool):
         raise InputError(f"{path}: residues cannot be booleans")
+    if isinstance(entry, float) and not math.isfinite(entry):
+        raise InputError(f"{path}: residues must be finite, got {entry!r}")
     if isinstance(entry, (int, float)):
         return GaussianRational.from_number(entry)
     if isinstance(entry, str):

@@ -35,7 +35,8 @@ from .flow import CycleApprox
 from .foliation import hamiltonian
 from .forms import DifferentialForm
 from .melnikov import cycle_at, m1_on_cycle, make_problem
-from .monodromy import _genericity_failure, _real_fraction_coeffs
+from .monodromy import (_critical_values, _descending, _genericity_failure,
+                        _match_roots, _polished_roots, _real_fraction_coeffs)
 from .poly import Poly
 from .ratfunc import (
     RatFrac,
@@ -56,6 +57,7 @@ PERIOD_N_START = 64
 PERIOD_N_MAX = 65536
 PERIOD_REL_TOL = 1e-11
 PAD_FRACTION = 0.45
+FIBER_NEWTON_STEPS = 4
 
 
 # ---- numeric periods on hyperelliptic fibers --------------------------------
@@ -64,29 +66,7 @@ def _descending_coeffs(p: Poly) -> np.ndarray:
     fr = _real_fraction_coeffs(p)
     if len(fr) < 3:
         raise InputError("fiber polynomial must have degree at least 2")
-    return np.array([float(c) for c in fr[::-1]], dtype=complex)
-
-
-def _fiber_roots(coeffs: np.ndarray, t: complex) -> np.ndarray:
-    c = coeffs.copy()
-    c[-1] += t
-    r = np.roots(c)
-    dc = np.polyder(c)
-    for _ in range(4):
-        r = r - np.polyval(c, r) / np.polyval(dc, r)
-    return r
-
-
-def _match(ref: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Reorder roots to follow the reference configuration."""
-    out = np.empty_like(ref)
-    used = [False] * len(roots)
-    for i, z in enumerate(ref):
-        k = min((j for j in range(len(roots)) if not used[j]),
-                key=lambda j: abs(roots[j] - z))
-        used[k] = True
-        out[i] = roots[k]
-    return out
+    return _descending(fr)
 
 
 def _seg_dist(z: complex, a: complex, b: complex) -> float:
@@ -193,9 +173,9 @@ def basis_periods(p: Poly, t: complex, pair: int | None = None,
     contour; ``pair`` indexes the enclosed branch pair in that ordering.
     """
     coeffs = _descending_coeffs(p)
-    roots = _fiber_roots(coeffs, t)
+    roots = _polished_roots(coeffs, FIBER_NEWTON_STEPS, shift=t)
     if ref_roots is not None:
-        roots = _match(ref_roots, roots)
+        roots = _match_roots(ref_roots, roots)
     else:
         roots = np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
     if pair is None:
@@ -221,8 +201,8 @@ def period_of_form(p: Poly, omega: DifferentialForm, t: complex,
     if omega.degree != 1 or len(omega.vars) != 2:
         raise InputError("periods are defined for plane 1-forms")
     coeffs = _descending_coeffs(p)
-    roots = np.array(sorted(_fiber_roots(coeffs, t),
-                            key=lambda z: (z.real, z.imag)))
+    roots = _polished_roots(coeffs, FIBER_NEWTON_STEPS, shift=t)
+    roots = np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
     if pair is None:
         pair = _best_pair(roots)
     if not (0 <= pair < len(roots) - 1):
@@ -314,15 +294,8 @@ def picard_fuchs(p: Poly) -> ConnectionMatrix:
         b = b + [RatFrac.zero()] * (m - 1 - len(b))
         rows.append(tuple(-half * c for c in b[: m - 1]))
 
-    coeffs = _descending_coeffs(p)
-    dcf = np.polyder(coeffs)
-    crit = np.roots(dcf)
-    for _ in range(8):
-        crit = crit - np.polyval(dcf, crit) / np.polyval(np.polyder(dcf), crit)
-    cvals = tuple(-complex(np.polyval(coeffs, c)) for c in crit)
-
     return ConnectionMatrix(p=p, size=m - 1, entries=tuple(rows),
-                            critical_values=cvals)
+                            critical_values=tuple(_critical_values(fr)))
 
 
 def pf_residual(conn: ConnectionMatrix, ts: Sequence[complex],
@@ -337,8 +310,8 @@ def pf_residual(conn: ConnectionMatrix, ts: Sequence[complex],
     worst = 0.0
     for t in ts:
         t = complex(t)
-        ref = np.array(sorted(_fiber_roots(coeffs, t),
-                              key=lambda z: (z.real, z.imag)))
+        ref = _polished_roots(coeffs, FIBER_NEWTON_STEPS, shift=t)
+        ref = np.array(sorted(ref, key=lambda z: (z.real, z.imag)))
         k = _best_pair(ref) if pair is None else pair
         stencil = {}
         for step in (-2, -1, 0, 1, 2):

@@ -207,6 +207,38 @@ def _genericity_failure(coeffs: list[Fraction]) -> str | None:
     return None
 
 
+def _descending(coeffs: list[Fraction]) -> np.ndarray:
+    return np.array([float(c) for c in coeffs[::-1]], dtype=complex)
+
+
+def _polished_roots(coeffs: np.ndarray, newton_steps: int,
+                    shift: complex = 0.0) -> np.ndarray:
+    """Roots of descending ``coeffs`` + ``shift`` (on the constant term) after
+    ``newton_steps`` Newton steps; each caller's digits depend on its count."""
+    c = coeffs.copy()
+    c[-1] += shift
+    r = np.roots(c)
+    for _ in range(newton_steps):
+        r = r - np.polyval(c, r) / np.polyval(np.polyder(c), r)
+    return r
+
+
+def _critical_values(coeffs: list[Fraction]) -> list[complex]:
+    """Critical values t = -p(c) at the zeros c of p', from the ascending
+    exact coefficients of p."""
+    dcf = np.array([float(c * e) for e, c in enumerate(coeffs)][:0:-1],
+                   dtype=complex)
+    cf = _descending(coeffs)
+    return [-complex(np.polyval(cf, c)) for c in _polished_roots(dcf, 8)]
+
+
+def _match_roots(ref: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """``roots`` reordered to follow ``ref`` with least total displacement."""
+    cost = np.abs(ref[:, None] - roots[None, :])
+    _, cols = linear_sum_assignment(cost)
+    return roots[cols]
+
+
 def build_model(p: Poly, base: float | None = None) -> FibrationModel:
     """Critical values of y^2 - p(x), base fiber data, and the chain lattice.
 
@@ -224,15 +256,7 @@ def build_model(p: Poly, base: float | None = None) -> FibrationModel:
     if reason is not None:
         raise InputError(f"non-generic polynomial: {reason}")
 
-    cf = np.array([float(c) for c in coeffs[::-1]], dtype=complex)
-    dcf = np.array([float(c * e) for e, c in enumerate(coeffs)][:0:-1],
-                   dtype=complex)
-    ddcf = np.polyder(dcf)
-    crit = np.roots(dcf)
-    for _ in range(8):
-        crit = crit - np.polyval(dcf, crit) / np.polyval(ddcf, crit)
-    cvals = [-complex(np.polyval(cf, c)) for c in crit]
-
+    cvals = _critical_values(coeffs)
     scale = 1.0 + max(abs(c) for c in cvals)
     for i in range(len(cvals)):
         for j in range(i + 1, len(cvals)):
@@ -247,13 +271,9 @@ def build_model(p: Poly, base: float | None = None) -> FibrationModel:
 
     cvals.sort(key=lambda c: (cmath.phase(c - base), abs(c - base)))
 
-    bcf = cf.copy()
-    bcf[-1] += base
-    bp = np.roots(bcf)
-    dbcf = np.polyder(bcf)
-    for _ in range(8):
-        bp = bp - np.polyval(bcf, bp) / np.polyval(dbcf, bp)
-    branch = sorted((complex(z) for z in bp), key=lambda z: (z.real, z.imag))
+    cf = _descending(coeffs)
+    branch = sorted((complex(z) for z in _polished_roots(cf, 8, shift=base)),
+                    key=lambda z: (z.real, z.imag))
     sep = min(abs(a - b) for i, a in enumerate(branch)
               for b in branch[i + 1:])
     if sep < 1e-9 * (1.0 + max(abs(z) for z in branch)):
@@ -376,11 +396,6 @@ class _Tracker:
         self.matrix = _identity(n)
         self.word: list[tuple[int, int]] = []
 
-    def roots_at(self, t: complex) -> np.ndarray:
-        c = self.coeffs.copy()
-        c[-1] += t
-        return np.roots(c)
-
     def _order(self, roots: np.ndarray, phi: float) -> list[int]:
         # Sort by projected real part, but real parts closer than the root
         # finder's noise floor are a tie and fall through to the imaginary
@@ -442,10 +457,8 @@ class _Tracker:
 
     def advance(self, s0, s1, check_collision: bool, depth: int = 0):
         t1, phi1 = s1[0], s1[1]
-        raw = self.roots_at(t1)
-        cost = np.abs(self.roots[:, None] - raw[None, :])
-        ri, ci = linear_sum_assignment(cost)
-        new = raw[ci]
+        new = _match_roots(self.roots,
+                           _polished_roots(self.coeffs, 0, shift=t1))
         sep0 = _min_sep(self.roots)
         move = float(np.max(np.abs(new - self.roots)))
         events = None

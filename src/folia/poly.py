@@ -25,7 +25,7 @@ The expression grammar accepted by :func:`parse_poly`::
 
 There is no implicit multiplication and no ``i`` literal; nonreal
 coefficients are printed as ``(a+b*i)`` for human eyes but do not
-round-trip through the parser.
+round-trip through the parser.  Exponents and degrees are capped.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ from typing import Callable, Iterable, Sequence
 from .errors import InputError, ParseError
 
 _FractionLike = int | Fraction
+
+# Cap on exponents and on the degree of every product and power parsed:
+# above every degree the tests parse (15), and (x+y+z+1)^24 expands in
+# about 3 s on a 2-core x86 host, while "(x+1)^40000" is refused unexpanded.
+MAX_PARSE_DEGREE = 24
 
 
 def _as_fraction(v) -> Fraction:
@@ -640,6 +645,19 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int_literal(text: str, off: int) -> int:
+    try:
+        return int(text)
+    except ValueError:      # beyond the interpreter's digit limit
+        raise ParseError("integer literal too long", off) from None
+
+
+def _check_budget(what: str, value: int, off: int):
+    if value > MAX_PARSE_DEGREE:
+        raise ParseError(f"{what} {value} is above the parser's budget "
+                         f"{MAX_PARSE_DEGREE}", off)
+
+
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.text = text
@@ -685,8 +703,11 @@ class _Parser:
         while True:
             kind, val, _ = self.peek()
             if kind == "OP" and val == "*":
-                self.advance()
-                acc = acc * self.factor()
+                _, _, off = self.advance()
+                f = self.factor()
+                _check_budget("degree", acc.total_degree() + f.total_degree(),
+                              off)
+                acc = acc * f
             else:
                 return acc
 
@@ -698,20 +719,23 @@ class _Parser:
             kind, val, off = self.advance()
             if kind != "INT":
                 raise ParseError("expected a nonnegative integer exponent", off)
-            return base ** int(val)
+            e = _int_literal(val, off)
+            _check_budget("exponent", e, off)
+            _check_budget("degree", base.total_degree() * e, off)
+            return base ** e
         return base
 
     def base(self) -> Poly:
         kind, val, off = self.advance()
         if kind == "INT":
-            num = int(val)
+            num = _int_literal(val, off)
             k2, v2, _ = self.peek()
             if k2 == "OP" and v2 == "/":
                 self.advance()
                 k3, v3, off3 = self.advance()
                 if k3 != "INT":
                     raise ParseError("expected an integer denominator", off3)
-                den = int(v3)
+                den = _int_literal(v3, off3)
                 if den == 0:
                     raise ParseError("zero denominator", off3)
                 return Poly.constant(self.vars, Fraction(num, den))

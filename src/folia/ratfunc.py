@@ -389,13 +389,6 @@ def xp_diff(a: list[RatFrac]) -> list[RatFrac]:
     return xp_normalize([a[i] * Fraction(i) for i in range(1, len(a))])
 
 
-def xp_monic(a: list[RatFrac]) -> list[RatFrac]:
-    a = xp_normalize(list(a))
-    if not a:
-        return a
-    return xp_scale(a, RatFrac.one() / a[-1])
-
-
 def xp_xgcd(a: list[RatFrac], b: list[RatFrac]):
     """Extended Euclid in Q(t)[x]: returns (g, u, v) with u*a + v*b = g, g monic."""
     r0, r1 = xp_normalize(list(a)), xp_normalize(list(b))

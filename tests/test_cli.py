@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -274,7 +275,7 @@ def test_csv_rejected_without_projection():
 
 
 def test_runconfig_invariants():
-    cfg = RunConfig(command="sing", paths={"form": "f.json"})
+    cfg = RunConfig(command="sing")
     assert cfg.output_format == "json"
     with pytest.raises(InputError, match="positive"):
         RunConfig(command="sing", ratio_band=-1.0)
@@ -286,6 +287,98 @@ def test_runconfig_invariants():
         RunConfig(command="melnikov")
     with pytest.raises(InputError, match="strictly increasing"):
         RunConfig(command="melnikov", grid=(1.0, 0.5))
+    with pytest.raises(InputError, match="finite"):
+        RunConfig(command="sing", holonomy_rtol=math.inf)
+    with pytest.raises(InputError, match="finite"):
+        RunConfig(command="holonomy", grid=(0.5, math.nan))
+
+
+def test_tolerance_flags_belong_to_their_commands():
+    _, parsers = cli._build_parsers()
+    takers = {flag: {name for name, p in parsers.items()
+                     if flag in p._option_string_actions}
+              for flag in ("--root-residual-tol", "--ratio-band",
+                           "--quadrature-rel-tol", "--holonomy-rtol", "--seed")}
+    assert takers == {"--root-residual-tol": {"sing"},
+                      "--ratio-band": {"sing", "classify", "log"},
+                      "--quadrature-rel-tol": {"melnikov"},
+                      "--holonomy-rtol": {"holonomy"},
+                      "--seed": set()}
+
+
+def test_tolerance_flag_on_other_command_rejected(tmp_path):
+    with pytest.raises(InputError, match="--ratio-band"):
+        cli.run(["monodromy", "--p", "x^3 - 3*x", "--ratio-band", "1"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"ratio_band": 1}')
+    with pytest.raises(InputError, match="unknown config key"):
+        cli.run(["monodromy", "--p", "x^3 - 3*x", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--t", "nan"],
+    ["holonomy", "--t", "0.5", "--holonomy-rtol", "inf"],
+    ["holonomy", "--t", "0.5", "--center", "0,inf"],
+    ["holonomy", "--seed-point", "1e400,0"],
+    ["classify", "--x", "inf", "--y", "0"],
+    ["classify", "--x", "1/3", "--y", "nan"],
+    ["sing", "--ratio-band", "nan"],
+])
+def test_non_finite_numbers_are_bad_input(circle_file, argv):
+    with pytest.raises(InputError, match="finite"):
+        cli.run([argv[0], "--form", circle_file, *argv[1:]])
+
+
+def test_non_finite_config_value_rejected(tmp_path, circle_file, rot_file):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"t0": 0.1, "t1": Infinity, "samples": 3}')
+    with pytest.raises(InputError, match="finite"):
+        cli.run(["melnikov", "--base", circle_file, "--pert", rot_file,
+                 "--config", str(cfg)])
+
+
+def test_non_finite_residue_in_record_rejected(tmp_path):
+    f = tmp_path / "r.json"
+    f.write_text('{"kind": "logarithmic", "variables": ["x", "y"],'
+                 ' "factors": ["x", "y"], "residues": [1, NaN]}')
+    with pytest.raises(InputError, match="finite"):
+        cli.run(["sing", "--form", str(f)])
+
+
+def test_sing_gate_is_relative_to_the_field_scale(capsys, tmp_path):
+    # coefficients in the tens put the vertex (-1/4, 37/4) at an absolute
+    # residual of about 6e-7, well within the finder's relative acceptance
+    rec = tmp_path / "t.json"
+    cli.run(["log", "--factor", "4*x + 1", "--factor", "y - 4",
+             "--factor", "x + y - 9", "--residue", "1", "--residue", "3",
+             "--residue", "4", "--out", str(rec)])
+    capsys.readouterr()
+    code, pts = run_json(capsys, ["sing", "--form", str(rec)])
+    assert code == 0
+    assert any(abs(p["x"][0] + 0.25) < 1e-6 and abs(p["y"][0] - 9.25) < 1e-6
+               for p in pts)
+
+
+def test_parse_budget_refuses_huge_powers_quickly():
+    t0 = time.perf_counter()
+    with pytest.raises(InputError, match="budget"):
+        cli.run(["monodromy", "--p", "(x+1)^40000"])
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_main_maps_unexpected_exceptions_to_exit_3(monkeypatch, capsys):
+    def boom(args, cfg):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli._HANDLERS, "monodromy", boom)
+    monkeypatch.setattr(sys, "argv", ["folia", "monodromy", "--p", "x^3 - 3*x"])
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    assert ei.value.code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["exit_code"] == 3 and "RuntimeError: unexpected" in doc["error"]
 
 
 # ---- subprocess-level contracts -------------------------------------------------
@@ -318,6 +411,16 @@ def test_exit_codes_and_error_json(tmp_path):
     assert r.returncode == 3
     doc = json.loads(r.stderr.strip())
     assert doc["exit_code"] == 3
+
+
+def test_non_finite_flags_exit_2_with_one_json_line(circle_file):
+    for argv in (["classify", "--form", circle_file, "--x", "inf", "--y", "0"],
+                 ["holonomy", "--form", circle_file, "--t", "nan"]):
+        r = _spawn(argv)
+        assert r.returncode == 2 and r.stdout == ""
+        err_lines = r.stderr.strip().splitlines()
+        assert len(err_lines) == 1
+        assert json.loads(err_lines[0])["exit_code"] == 2
 
 
 def test_output_bytes_independent_of_thread_env(tmp_path):

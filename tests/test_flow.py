@@ -75,6 +75,10 @@ def test_cycle_through_level():
     assert np.max(np.abs(r - math.sqrt(0.36))) < 1e-8
     with pytest.raises(InputError):
         cycle_through_level(FoliationRecord(P=P("y"), Q=P("-x")), (0, 0), 0.1)
+    # plain floats in the message, not numpy reprs
+    with pytest.raises(NumericError,
+                       match=r"level -1.0 along the ray from \(0.0, 0.0\)$"):
+        cycle_through_level(CIRCLE, np.zeros(2), np.float64(-1.0))
 
 
 def test_trace_rejects_singular_seed():

@@ -197,6 +197,13 @@ def test_parse_errors_carry_offsets():
         parse_poly("x y", ("x", "y"))  # no implicit multiplication
     with pytest.raises(ParseError):
         parse_poly("(x", ("x",))
+    with pytest.raises(ParseError, match="degree 25 is above") as ei:
+        parse_poly("x^20*x^5", ("x",))
+    assert ei.value.offset == 4
+    with pytest.raises(ParseError, match="exponent 25 is above"):
+        parse_poly("2^25", ("x",))
+    with pytest.raises(ParseError, match="too long"):
+        parse_poly("1" * 5000, ("x",))
     assert issubclass(ParseError, InputError)
 
 

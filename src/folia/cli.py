@@ -519,10 +519,16 @@ def _apply_config(argv: list, parsers: dict, command: str):
         if dest not in known or dest in ("help", "config"):
             raise InputError(f"{path}: unknown config key {key!r} for {command!r}")
         action = next(a for a in parser._actions if a.dest == dest)
+        takes_list = isinstance(action, argparse._AppendAction)
+        values = value if isinstance(value, list) else [value]
+        if (isinstance(value, list) != takes_list
+                or any(isinstance(v, (list, dict)) for v in values)):
+            shape = "a list of single values" if takes_list else "a single value"
+            raise InputError(f"{path}: config key {key!r} takes {shape}")
         if action.type is not None and value is not None:
             try:
                 value = ([action.type(v) for v in value]
-                         if isinstance(value, list) else action.type(value))
+                         if takes_list else action.type(value))
             except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
                 raise InputError(f"{path}: bad value for {key!r}: {e}") from e
         overrides[dest] = value

@@ -38,6 +38,7 @@ MAX_DEPTH = 48
 COLLISION_REL = 1e-9
 RETURN_TOL = 1e-8
 TIE_REL = 1e-9
+EIG_BLOCK = 64
 
 
 class _RetryTracking(Exception):
@@ -48,11 +49,6 @@ class _RetryTracking(Exception):
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 def _mat_vec(a, v):
     return [sum(r[k] * v[k] for k in range(len(v))) for r in a]
@@ -384,10 +380,40 @@ def _min_sep(roots: np.ndarray) -> float:
     return float(d.min())
 
 
-class _Tracker:
-    """Carries the matched root configuration and the accumulated twist."""
+def _roots_along(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Row k holds the roots of descending ``coeffs`` + ``ts[k]``, exactly as
+    ``np.roots`` returns them: ``eigvals`` on stacks of the companion
+    matrices ``np.roots`` builds, so the values and their order are
+    bit-identical to a ``np.roots`` call per t."""
+    # a loop passes each point of its approach path twice
+    ts, back = np.unique(ts, return_inverse=True)
+    n = len(coeffs) - 1
+    c = np.repeat(coeffs[None, :], len(ts), axis=0)
+    c[:, -1] += ts
+    out = np.empty((len(ts), n), dtype=complex)
+    # in blocks, so that the matrices stay small next to the roots
+    for k0 in range(0, len(ts), EIG_BLOCK):
+        cb = c[k0:k0 + EIG_BLOCK]
+        comp = np.zeros((len(cb), n, n), dtype=complex)
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        comp[:, 0, :] = -cb[:, 1:] / cb[:, :1]
+        out[k0:k0 + EIG_BLOCK] = np.linalg.eigvals(comp)
+    # np.roots strips a zero constant term and appends its root last
+    for k in np.flatnonzero(c[:, -1] == 0):
+        out[k] = _polished_roots(coeffs, 0, shift=ts[k])
+    return out[back]
 
-    def __init__(self, model: FibrationModel):
+
+def _t_text(t: complex) -> str:
+    return f"{t.real:.6g}{t.imag:+.6g}j"
+
+
+class _Tracker:
+    """Carries the matched root configuration and the accumulated twist
+    along the loop around the critical value with the given index."""
+
+    def __init__(self, model: FibrationModel, index: int):
+        self.index = index
         self.coeffs = model._coeffs
         self.roots = np.array(model.branch_points, dtype=complex)
         self.scale = 1.0 + float(np.max(np.abs(self.roots)))
@@ -403,25 +429,26 @@ class _Tracker:
         # tie a conjugate pair on a real segment flips order at random and
         # floods the word with fake crossings.
         w = roots * cmath.exp(-1j * phi)
-        idx = sorted(range(len(roots)), key=lambda i: w[i].real)
+        re, im = w.real.tolist(), w.imag.tolist()
+        idx = sorted(range(len(re)), key=re.__getitem__)
         tol = TIE_REL * self.scale
         out: list[int] = []
         k, n = 0, len(idx)
         while k < n:
             g = k + 1
-            while g < n and w[idx[g]].real - w[idx[g - 1]].real < tol:
+            while g < n and re[idx[g]] - re[idx[g - 1]] < tol:
                 g += 1
-            out.extend(sorted(idx[k:g], key=lambda i: w[i].imag))
+            out.extend(sorted(idx[k:g], key=im.__getitem__))
             k = g
         return out
 
     def _emit(self, k: int, sign: int):
-        n = len(self.matrix)
-        col = [self.inter[j][k] for j in range(n)]
-        t = _identity(n)
-        for jj in range(n):
-            t[k][jj] += sign * col[jj]
-        self.matrix = _mat_mul(t, self.matrix)
+        # left-multiply by the elementary twist, which moves row k alone
+        m = self.matrix
+        coef = [(j, sign * self.inter[j][k]) for j in range(len(m))
+                if self.inter[j][k]]
+        m[k] = [v + sum(c * m[j][col] for j, c in coef)
+                for col, v in enumerate(m[k])]
         self.word.append((k, sign))
 
     def _events(self, r0, r1, phi0, phi1) -> list[tuple[int, int]] | None:
@@ -455,6 +482,15 @@ class _Tracker:
             out.append((k, 1 if imc < 0.0 else -1))
         return out
 
+    def _commit(self, new, events, t1: complex, collided: bool):
+        for k, sign in events:
+            self._emit(k, sign)
+        if collided:
+            raise NumericError(
+                "two branch points collided away from the critical circle "
+                f"(critical value {self.index}, t = {_t_text(t1)})")
+        self.roots = new
+
     def advance(self, s0, s1, check_collision: bool, depth: int = 0):
         t1, phi1 = s1[0], s1[1]
         new = _match_roots(self.roots,
@@ -467,18 +503,93 @@ class _Tracker:
         if events is None:
             if depth >= MAX_DEPTH:
                 if move >= MATCH_FRACTION * sep0:
-                    raise NumericError("root tracking lost between samples")
+                    raise NumericError(
+                        "root tracking lost between samples (critical value "
+                        f"{self.index}, t from {_t_text(s0[0])} to "
+                        f"{_t_text(t1)}, frame angle {float(phi1):.6g})")
                 raise _RetryTracking("crossing pattern did not disentangle")
             mid = (0.5 * (s0[0] + t1), 0.5 * (s0[1] + phi1))
             self.advance(s0, mid, check_collision, depth + 1)
             self.advance(mid, s1, check_collision, depth + 1)
             return
-        for k, sign in events:
-            self._emit(k, sign)
-        if check_collision and _min_sep(new) < COLLISION_REL * self.scale:
-            raise NumericError("two branch points collided away from the "
-                               "critical circle")
-        self.roots = new
+        self._commit(new, events, t1, check_collision
+                     and _min_sep(new) < COLLISION_REL * self.scale)
+
+    def sweep(self, samples):
+        """Track the roots along all samples, as ``advance`` on each
+        consecutive pair would, with the per-sample work done on whole
+        arrays.
+
+        A step is taken on the arrays alone when the nearest-neighbour
+        match is a bijection moving every root by less than
+        ``MATCH_FRACTION`` times the minimum separation (then it is the
+        unique least-displacement assignment, the one ``_match_roots``
+        finds), no collision is due, and the projection order provably
+        stays put: no two projected real parts within twice the tie
+        tolerance in either sample (so ``_order`` is the plain sort, even
+        if the batched product rounds differently in the last bit) and
+        the same sort on both sides.  A step that misses the order test
+        goes to ``_events``; one whose match is rejected, or whose
+        crossings do not disentangle, to ``advance`` and its bisection.
+        """
+        n = len(self.roots)
+        roots = np.empty((len(samples), n), dtype=complex)
+        roots[0] = self.roots
+        roots[1:] = _roots_along(
+            self.coeffs, np.array([s[0] for s in samples[1:]], dtype=complex))
+        # one root at a time: temporaries the size of ``roots``, not n times it
+        sep = np.full(len(samples), np.inf)
+        for a in range(n - 1):
+            sep = np.minimum(sep, np.abs(roots[:, a + 1:]
+                                         - roots[:, a:a + 1]).min(axis=1))
+        near = np.empty((len(samples) - 1, n), dtype=int)
+        move = np.zeros(len(samples) - 1)
+        for a in range(n):
+            dist = np.abs(roots[1:] - roots[:-1, a:a + 1])
+            near[:, a] = dist.argmin(axis=1)
+            move = np.maximum(move, dist.min(axis=1))
+        matched = ((np.sort(near, axis=1) == np.arange(n)).all(axis=1)
+                   & (move < MATCH_FRACTION * sep[:-1]))
+        rot = np.array([cmath.exp(-1j * s[1]) for s in samples])
+        x = (roots * rot[:, None]).real
+        order = np.argsort(x, axis=1)
+        gaps = np.diff(np.take_along_axis(x, order, axis=1), axis=1)
+        untied = (gaps >= 2.0 * TIE_REL * self.scale).all(axis=1)
+        still = (untied[:-1] & untied[1:]
+                 & (np.take_along_axis(near, order[:-1], axis=1)
+                    == order[1:]).all(axis=1))
+        # collision detection is waived on the critical circle, where the
+        # vanishing pair legitimately gets close
+        check = np.array([not (s0[2] and s1[2])
+                          for s0, s1 in zip(samples, samples[1:])])
+        collided = check & (sep[1:] < COLLISION_REL * self.scale)
+        fast = matched & still & ~collided
+
+        perm = list(range(n))     # tracked root -> its row in ``roots``
+        # a fast step that keeps every row in place leaves perm as it is
+        busy = ~fast | (near != np.arange(n)).any(axis=1)
+        for i in np.flatnonzero(busy).tolist():
+            row = near[i].tolist()
+            nxt = [row[a] for a in perm]
+            if fast[i]:
+                perm = nxt
+                continue
+            s0, s1 = samples[i], samples[i + 1]
+            self.roots = roots[i][perm]
+            events = None
+            if matched[i]:
+                new = roots[i + 1][nxt]
+                events = (self._events(self.roots, new, s0[1], s1[1])
+                          if not still[i] else [])
+            if events is not None:
+                self._commit(new, events, s1[0], bool(collided[i]))
+                perm = nxt
+            else:
+                # advance ends on np.roots at s1, a reordering of the row
+                self.advance(s0, s1, bool(check[i]))
+                perm = np.abs(roots[i + 1][None, :]
+                              - self.roots[:, None]).argmin(axis=1).tolist()
+        self.roots = roots[-1][perm]
 
 
 def _primitive_delta(matrix, inter) -> tuple[int, ...]:
@@ -516,19 +627,16 @@ def _primitive_delta(matrix, inter) -> tuple[int, ...]:
 
 def _generator_for(model: FibrationModel, j: int,
                    theta: float) -> MonodromyOperator:
-    tracker = _Tracker(model)
-    samples = _loop_samples(model, j, theta)
-    for s0, s1 in zip(samples, samples[1:]):
-        # collision detection is waived on the critical circle, where the
-        # vanishing pair legitimately gets close
-        tracker.advance(s0, s1, check_collision=not (s0[2] and s1[2]))
+    tracker = _Tracker(model, j)
+    tracker.sweep(_loop_samples(model, j, theta))
     err = 0.0
     base_roots = np.array(model.branch_points, dtype=complex)
     for z in tracker.roots:
         err = max(err, float(np.min(np.abs(base_roots - z))))
     if err > RETURN_TOL * tracker.scale:
         raise NumericError(
-            f"roots did not return to the base configuration (err {err:.2e})"
+            f"roots did not return to the base configuration after the loop "
+            f"around critical value {j} (err {err:.2e})"
         )
     mat = tuple(tuple(r) for r in tracker.matrix)
     delta = _primitive_delta(tracker.matrix, model.lattice.intersection)

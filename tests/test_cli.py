@@ -227,6 +227,23 @@ def test_config_unknown_key_rejected(tmp_path, circle_file, rot_file):
                  "--config", str(cfg)])
 
 
+def test_config_value_of_the_wrong_shape_rejected(tmp_path, circle_file,
+                                                  rot_file):
+    cfg = tmp_path / "cfg.json"
+    # a list for a one-value flag
+    cfg.write_text('{"t0": [0.1], "t1": 1, "samples": 3}')
+    with pytest.raises(InputError, match="'t0' takes a single value"):
+        cli.run(["melnikov", "--base", circle_file, "--pert", rot_file,
+                 "--config", str(cfg)])
+    # one value for a repeatable flag
+    cfg.write_text('{"t": 0.25}')
+    with pytest.raises(InputError, match="'t' takes a list of single values"):
+        cli.run(["holonomy", "--form", circle_file, "--config", str(cfg)])
+    cfg.write_text('{"t": [0.25, 0.5]}')
+    assert cli.run(["holonomy", "--form", circle_file,
+                    "--config", str(cfg)]) == 0
+
+
 # ---- errors and the RunConfig contract -----------------------------------------
 
 

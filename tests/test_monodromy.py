@@ -1,11 +1,18 @@
+import json
 import math
 import random
+import re
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from folia import parse_poly
-from folia.errors import InputError
+from folia import monodromy, parse_poly
+from folia.acceptance import _det_int
+from folia.errors import InputError, NumericError
 from folia.monodromy import (
+    _roots_along,
     build_model,
     chain_intersection,
     cycle_at_infinity,
@@ -18,6 +25,7 @@ from folia.monodromy import (
 from folia.poly import GaussianRational, Poly
 
 X = ("x",)
+GOLDEN = Path(__file__).parent / "data" / "monodromy_golden.json"
 
 
 def P(s):
@@ -207,6 +215,36 @@ def test_hermite_basis_shapes():
     assert basis[0] == (1, 2, 0)
 
 
+def test_batched_roots_are_bit_identical_to_np_roots():
+    rng = random.Random(17)
+    for deg in range(3, 11):
+        c = np.array([rng.choice([1, 2, -1, 3])]
+                     + [rng.randint(-6, 6) for _ in range(deg - 1)] + [5],
+                     dtype=complex)
+        ts = [complex(rng.uniform(-30, 30), rng.uniform(-9, 9))
+              for _ in range(40)] + [-5.0, -5.0 + 0j]   # zero constant term, repeated
+        got = _roots_along(c, np.array(ts))
+        for t, row in zip(ts, got):
+            shifted = c.copy()
+            shifted[-1] += t
+            assert np.array_equal(row, np.roots(shifted))
+
+
+def test_tracking_loss_names_the_loop_and_the_interval(monkeypatch):
+    m = build_model(P("x^3 - 3*x"))
+    monkeypatch.setattr(monodromy, "MAX_DEPTH", 0)
+    monkeypatch.setattr(monodromy, "MATCH_FRACTION", 1e-12)
+    with pytest.raises(NumericError) as exc:
+        monodromy_generators(m)
+    msg = str(exc.value)
+    got = re.fullmatch(r"root tracking lost between samples \(critical value 0,"
+                       r" t from (\S+) to (\S+), frame angle 0\)", msg)
+    assert got, msg
+    # the first step of the first loop leaves the base point
+    assert complex(got.group(1)) == m.base
+    assert complex(got.group(2)) != m.base
+
+
 def test_orbit_span_rejects_zero_start():
     m = build_model(P("x^3 - 3*x"))
     ops = monodromy_generators(m)
@@ -240,3 +278,23 @@ def test_random_generic_orbits_have_full_rank():
         if v is not None:
             assert all(op(v) == v for op in ops)
         done += 1
+
+
+def test_operators_equal_the_golden_record():
+    # 144 fibers of degree 3 to 10 whose operators were recorded with the
+    # per-sample np.roots tracker (the file's "about" says which); the
+    # matrices must agree exactly, not merely be valid
+    t0 = time.perf_counter()
+    entries = json.loads(GOLDEN.read_text())["entries"]
+    assert len(entries) == 144
+    for e in entries:
+        m = build_model(Poly(X, {(k,): c for k, c in enumerate(e["coeffs"]) if c}))
+        ops = monodromy_generators(m)
+        assert [[list(r) for r in op.matrix] for op in ops] == e["matrices"], \
+            e["coeffs"]
+        n = m.lattice.rank
+        for op in ops:
+            assert _det_int(op.matrix) == 1
+            assert preserves_pairing(op.matrix, m.lattice.intersection)
+        assert orbit_span(m, ops, (1,) + (0,) * (n - 1)).rank == n
+    assert time.perf_counter() - t0 < 60.0

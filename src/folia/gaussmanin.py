@@ -6,10 +6,11 @@ Three views of the same structure on the fibrations ``y^2 = p(x) + t``:
   integrated on an elliptic contour around a branch-point pair with the
   square root continued along the contour;
 * the exact Gauss-Manin connection on the basis ``x^i dx / y``,
-  ``i = 0 .. deg(p) - 2``, derived by rewriting ``x^i / y^3`` inside the
-  module generated by the basis over Q(t) (division by ``p + t``, Bezout
-  cofactors of ``(p + t, p')``, and the integration-by-parts relations
-  ``d(x^j y) ~ 0``);
+  ``i = 0 .. deg(p) - 2``, derived by rewriting ``chi(t) x^i / y^3``
+  in Q[t][x] (division by ``p + t``, the Bezout cofactors of
+  ``(p + t, p')`` over the critical-value polynomial chi, and the
+  integration-by-parts relations ``d(x^j y) ~ 0``), with each entry
+  reduced over chi once at the end;
 * the Brieskorn module of the quasi-homogeneous ``f = y^2 - x^m``, where
   every polynomial 1-form has a unique normal form on the monomial
   classes ``x^a y dx``, ``a = 0 .. m - 2``, with coefficients polynomial
@@ -38,20 +39,7 @@ from .melnikov import cycle_at, m1_on_cycle, make_problem
 from .monodromy import (_critical_values, _descending, _genericity_failure,
                         _match_roots, _polished_roots, _real_fraction_coeffs)
 from .poly import Poly
-from .ratfunc import (
-    RatFrac,
-    UPoly,
-    xp_add,
-    xp_degree,
-    xp_diff,
-    xp_divmod,
-    xp_from_fractions,
-    xp_mul,
-    xp_normalize,
-    xp_scale,
-    xp_sub,
-    xp_xgcd,
-)
+from .ratfunc import RatFrac, UPoly, fiber_bezout, tx_add, tx_divmod, tx_mul
 
 PERIOD_N_START = 64
 PERIOD_N_MAX = 65536
@@ -247,52 +235,43 @@ class ConnectionMatrix:
         return out
 
 
-def _x_power(i: int) -> list[RatFrac]:
-    return [RatFrac.zero()] * i + [RatFrac.one()]
-
-
 def picard_fuchs(p: Poly) -> ConnectionMatrix:
     """Gauss-Manin connection for ``{x^i dx / y}`` on ``y^2 = p(x) + t``.
 
     Differentiation under the integral gives ``-x^i / (2 y^3)``; the
     ``y^-3`` terms are pushed back to the basis with the Bezout identity
-    for ``(p + t, p')`` and the exact-form relations, all over Q(t).
+    ``v0 (p + t) - w p' = chi`` and the exact-form relations.  Every
+    divisor has a rational leading coefficient, so all of it stays in
+    Q[t][x], and each entry is one fraction over chi(t) reduced at the end.
     """
     fr = _real_fraction_coeffs(p)
     m = len(fr) - 1
     if m < 2:
         raise InputError("need a fiber polynomial of degree at least 2")
-    reason = _genericity_failure(fr)
+    chi, v0, w = fiber_bezout(fr)
+    reason = _genericity_failure(fr, chi)
     if reason is not None:
         raise InputError(f"non-generic polynomial: {reason}")
 
-    pp = xp_add(xp_from_fractions(fr), [RatFrac.t()])   # p(x) + t
-    dp = xp_diff(pp)                                    # p'(x), t-free
-    g, s_cof, t_cof = xp_xgcd(pp, dp)
-    if xp_degree(g) != 0:
-        raise InputError("fiber polynomial is not squarefree over Q(t)")
-
-    half = RatFrac.from_fraction(Fraction(1, 2))
+    pt = tx_add([UPoly.constant(c) for c in fr], [UPoly.x()])   # p(x) + t
+    dp = [UPoly.constant(c * k) for k, c in enumerate(fr)][1:]  # p'(x)
+    half = Fraction(1, 2)
     rows: list[tuple[RatFrac, ...]] = []
     for i in range(m - 1):
-        a = _x_power(i)
-        at = xp_mul(a, t_cof)
-        quot, v = xp_divmod(at, pp)
-        u = xp_add(xp_mul(a, s_cof), xp_mul(quot, dp))
-        b = xp_add(u, xp_scale(xp_diff(v), RatFrac.from_fraction(Fraction(2))))
+        # chi x^i = x^i v0 (p + t) - x^i w p', and -x^i w = quot (p + t) + v
+        shift = [UPoly.zero()] * i
+        quot, v = tx_divmod(shift + [-c for c in w], pt)
+        b = tx_add(tx_add(shift + v0, tx_mul(quot, dp)),
+                   [c * (2 * k) for k, c in enumerate(v)][1:])
         # reduce x^k, k >= m-1, with (k-m+1) x^(k-m) (p+t) + x^(k-m+1) p'/2 ~ 0
-        while xp_degree(b) >= m - 1:
-            k = xp_degree(b)
-            j = k - m + 1
-            rel = xp_scale(xp_mul(_x_power(j), dp), half)
+        while len(b) >= m:
+            j = len(b) - m
+            rel = [UPoly.zero()] * j + [c * half for c in dp]
             if j >= 1:
-                rel = xp_add(rel, xp_scale(xp_mul(_x_power(j - 1), pp),
-                                           RatFrac.from_fraction(Fraction(j))))
-            if xp_degree(rel) != k or rel[-1].is_zero:
-                raise NumericError("degree reduction lost its leading term")
-            b = xp_sub(b, xp_scale(rel, b[-1] / rel[-1]))
-        b = b + [RatFrac.zero()] * (m - 1 - len(b))
-        rows.append(tuple(-half * c for c in b[: m - 1]))
+                rel = tx_add(rel, [UPoly.zero()] * (j - 1) + [c * j for c in pt])
+            b = tx_add(b, tx_mul(rel, [b[-1] * (-1 / rel[-1].lc())]))
+        b += [UPoly.zero()] * (m - 1 - len(b))
+        rows.append(tuple(RatFrac(c * -half, chi) for c in b))
 
     return ConnectionMatrix(p=p, size=m - 1, entries=tuple(rows),
                             critical_values=tuple(_critical_values(fr)))

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, NumericError
-from .poly import Poly, resultant
-from .ratfunc import UPoly, upoly_gcd
+from .poly import Poly
+from .ratfunc import UPoly, fiber_adjugate, upoly_gcd
 
 TRACK_ANGLES = (0.0, math.pi / 7.0, math.pi / 3.0)
 MATCH_FRACTION = 0.25
@@ -185,20 +185,16 @@ def _real_fraction_coeffs(p: Poly) -> list[Fraction]:
     return out
 
 
-def _genericity_failure(coeffs: list[Fraction]) -> str | None:
-    """Exact squarefree tests for critical points and critical values."""
-    up = UPoly(coeffs)
-    dp = up.diff()
+def _genericity_failure(coeffs: list[Fraction],
+                        chi: UPoly | None = None) -> str | None:
+    """Exact squarefree tests for critical points and critical values; the
+    latter on chi(t) of ``fiber_adjugate``, computed here unless given."""
+    dp = UPoly(coeffs).diff()
     if upoly_gcd(dp, dp.diff()).degree > 0:
         return "repeated critical points"
-    xt = ("_x", "_t")
-    p2 = Poly(xt, {(e, 0): c for e, c in enumerate(coeffs) if c != 0})
-    dp2 = Poly(xt, {(e - 1, 0): c * e
-                    for e, c in enumerate(coeffs) if e > 0 and c != 0})
-    rt = resultant(dp2, p2 + Poly(xt, {(0, 1): 1}), 0)
-    rc = [cp.coefficient((0, 0)).re for cp in rt.univariate_in(1)]
-    r = UPoly(rc)
-    if upoly_gcd(r, r.diff()).degree > 0:
+    if chi is None:
+        chi = fiber_adjugate(coeffs)[0]
+    if upoly_gcd(chi, chi.diff()).degree > 0:
         return "repeated critical values"
     return None
 

@@ -1,12 +1,16 @@
-"""Univariate exact arithmetic: Q[t], the field Q(t), and Q(t)[x].
+"""Univariate exact arithmetic: Q[t], the field Q(t), and Q[t][x].
 
-The Picard-Fuchs reduction works in the ring Q(t)[x]: fiber polynomials
-``q(x) = p(x) + t`` have rational-function coefficients in the level
-value t.  Nothing here is numeric; evaluation helpers convert on demand.
+The Picard-Fuchs reduction works in the ring Q[t][x]: fiber polynomials
+``q(x) = p(x) + t`` have coefficients polynomial in the level value t,
+and the one denominator, the critical-value polynomial chi(t), is known
+in advance.  Nothing here is numeric; evaluation helpers convert on
+demand.
 
 ``UPoly``   dense polynomial over Fraction, trailing zeros stripped.
 ``RatFrac`` reduced fraction of two UPoly with monic denominator.
-``xp_*``    helpers treating ``list[RatFrac]`` as polynomials in x.
+``tx_*``    helpers treating ``list[UPoly]`` as polynomials in x over Q[t].
+``fiber_*`` the critical-value polynomial chi(t) and the Bezout
+            cofactors of ``(p + t, p')``.
 """
 
 from __future__ import annotations
@@ -219,27 +223,12 @@ class RatFrac:
         self.num, self.den = num, den
 
     @classmethod
-    def zero(cls) -> "RatFrac":
-        return cls(UPoly.zero())
-
-    @classmethod
     def one(cls) -> "RatFrac":
         return cls(UPoly.one())
-
-    @classmethod
-    def t(cls) -> "RatFrac":
-        return cls(UPoly.x())
-
-    @classmethod
-    def from_fraction(cls, c) -> "RatFrac":
-        return cls(UPoly.constant(c))
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     @staticmethod
     def _coerce(v) -> "RatFrac":
@@ -320,91 +309,88 @@ class RatFrac:
         return f"RatFrac({self.to_str()!r})"
 
 
-# ---- polynomials in x over Q(t), as plain lists ---------------------------
+# ---- polynomials in x over Q[t], as plain lists ----------------------------
 
 
-def xp_normalize(a: list[RatFrac]) -> list[RatFrac]:
-    a = list(a)
+def tx_trim(a: list[UPoly]) -> list[UPoly]:
     while a and a[-1].is_zero:
         a.pop()
     return a
 
 
-def xp_degree(a: list[RatFrac]) -> int:
-    return len(a) - 1
+def tx_add(a: list[UPoly], b: list[UPoly]) -> list[UPoly]:
+    if len(a) < len(b):
+        a, b = b, a
+    return tx_trim([c + b[i] if i < len(b) else c for i, c in enumerate(a)])
 
 
-def xp_add(a: list[RatFrac], b: list[RatFrac]) -> list[RatFrac]:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else RatFrac.zero()
-        y = b[i] if i < len(b) else RatFrac.zero()
-        out.append(x + y)
-    return xp_normalize(out)
-
-
-def xp_sub(a: list[RatFrac], b: list[RatFrac]) -> list[RatFrac]:
-    return xp_add(a, [-c for c in b])
-
-
-def xp_scale(a: list[RatFrac], c: RatFrac) -> list[RatFrac]:
-    if c.is_zero:
-        return []
-    return xp_normalize([x * c for x in a])
-
-
-def xp_mul(a: list[RatFrac], b: list[RatFrac]) -> list[RatFrac]:
+def tx_mul(a: list[UPoly], b: list[UPoly]) -> list[UPoly]:
     if not a or not b:
         return []
-    out = [RatFrac.zero() for _ in range(len(a) + len(b) - 1)]
+    out = [UPoly.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return xp_normalize(out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return tx_trim(out)
 
 
-def xp_divmod(a: list[RatFrac], b: list[RatFrac]):
-    b = xp_normalize(list(b))
-    if not b:
-        raise ZeroDivisionError("division by zero in Q(t)[x]")
+def tx_divmod(a: list[UPoly], b: list[UPoly]):
+    """Quotient and remainder in Q[t][x]; the leading coefficient of ``b``
+    must be a rational constant, so nothing is divided by a polynomial in t."""
+    if not b or b[-1].degree != 0:
+        raise InputError("divisor needs a nonzero constant leading coefficient")
+    inv, n = 1 / b[-1].lc(), len(b) - 1
     rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [RatFrac.zero() for _ in range(max(0, len(rem) - db))]
-    while True:
-        rem = xp_normalize(rem)
-        if len(rem) - 1 < db:
-            break
-        k = len(rem) - 1 - db
-        f = rem[-1] / lb
-        q[k] = q[k] + f
-        for j, c in enumerate(b):
-            rem[k + j] = rem[k + j] - f * c
-    return xp_normalize(q), rem
+    q = [UPoly.zero()] * max(0, len(rem) - n)
+    for k in range(len(q) - 1, -1, -1):
+        f = q[k] = rem[k + n] * inv
+        if f:
+            for j, c in enumerate(b):
+                rem[k + j] = rem[k + j] - f * c
+    return tx_trim(q), tx_trim(rem[:n])
 
 
-def xp_diff(a: list[RatFrac]) -> list[RatFrac]:
-    return xp_normalize([a[i] * Fraction(i) for i in range(1, len(a))])
+def fiber_adjugate(p: Sequence[Fraction]) -> tuple[UPoly, list[UPoly]]:
+    """``(chi, v0)`` with ``(p + t) v0 = chi`` modulo p', for ascending ``p``.
+
+    ``chi(t) = det(tI + M)``, where M multiplies by ``r = p mod p'`` on
+    Q[x]/(p'), is monic of degree deg(p) - 1: a nonzero constant times
+    ``Res_x(p', p + t)``, with the critical values as roots.  One
+    Faddeev-LeVerrier pass over ``tI - B``, ``B = -M``, gives chi and the
+    first column of adj(tI + M), which read in the basis ``x^i`` is v0.
+    Every matrix of the pass is a polynomial in B, so it is kept as the
+    residue it multiplies by, and traces come from the power sums of the
+    roots of p'.
+    """
+    up = UPoly(p)
+    dp = up.diff()
+    n, a = dp.degree, dp.monic().coeffs
+    sums = [Fraction(n)]                    # Newton's identities for p'
+    for k in range(1, n):
+        sums.append(-k * a[n - k]
+                    - sum(a[n - i] * sums[k - i] for i in range(1, k)))
+    neg_r = -(up % dp)
+    # N_0 = 1; N_k = B N_(k-1) + c_k with c_k = -tr(B N_(k-1)) / k
+    nk, cs, firsts = UPoly.one(), [Fraction(1)], []
+    for k in range(1, n + 1):
+        firsts.append(nk.coeffs + (Fraction(0),) * (n - len(nk.coeffs)))
+        bn = (neg_r * nk) % dp
+        cs.append(-sum(c * s for c, s in zip(bn.coeffs, sums)) / k)
+        nk = bn + cs[-1]
+    chi = UPoly(cs[::-1])
+    v0 = tx_trim([UPoly([firsts[n - 1 - e][i] for e in range(n)])
+                  for i in range(n)])
+    return chi, v0
 
 
-def xp_xgcd(a: list[RatFrac], b: list[RatFrac]):
-    """Extended Euclid in Q(t)[x]: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = xp_normalize(list(a)), xp_normalize(list(b))
-    s0, s1 = [RatFrac.one()], []
-    t0, t1 = [], [RatFrac.one()]
-    while r1:
-        q, r = xp_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, xp_sub(s0, xp_mul(q, s1))
-        t0, t1 = t1, xp_sub(t0, xp_mul(q, t1))
-    if not r0:
-        return [], s0, t0
-    lead = r0[-1]
-    inv = RatFrac.one() / lead
-    return xp_scale(r0, inv), xp_scale(s0, inv), xp_scale(t0, inv)
-
-
-def xp_from_fractions(coeffs: Sequence[Fraction]) -> list[RatFrac]:
-    return xp_normalize([RatFrac.from_fraction(c) for c in coeffs])
+def fiber_bezout(p: Sequence[Fraction]):
+    """``(chi, v0, w)`` with ``v0 (p + t) - w p' = chi``: the cofactors of
+    ``fiber_adjugate`` and w from one exact division by p'."""
+    chi, v0 = fiber_adjugate(p)
+    up = UPoly(p)
+    dp = up.diff()
+    pt = tx_add([UPoly.constant(c) for c in up.coeffs], [UPoly.x()])
+    w = tx_divmod(tx_add(tx_mul(pt, v0), [-chi]),
+                  [UPoly.constant(c) for c in dp.coeffs])[0]
+    return chi, v0, w

@@ -1,6 +1,9 @@
+import json
 import math
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,11 @@ from folia.gaussmanin import (
     pf_residual,
     picard_fuchs,
 )
-from folia.poly import Poly
-from folia.ratfunc import RatFrac, UPoly, xp_add, xp_from_fractions, xp_mul, xp_xgcd
+from folia.monodromy import _genericity_failure, _real_fraction_coeffs
+from folia.poly import Poly, resultant
+from folia.ratfunc import RatFrac, UPoly, fiber_bezout, tx_add, tx_mul
+
+GOLDEN = Path(__file__).parent / "data" / "picard_fuchs_golden.json"
 
 X = ("x",)
 XY = ("x", "y")
@@ -74,12 +80,52 @@ def test_pf_quadratic_connection_vanishes():
 
 
 def test_pf_rejections():
-    with pytest.raises(InputError, match="non-generic"):
+    with pytest.raises(InputError, match="repeated critical values"):
         picard_fuchs(P("x^4 - 2*x^2", X))
+    with pytest.raises(InputError, match="repeated critical points"):
+        picard_fuchs(P("x^4 + 1", X))
     with pytest.raises(InputError):
         picard_fuchs(P("x + 1", X))
     with pytest.raises(InputError):
         picard_fuchs(P("x*y"))
+
+
+def test_pf_matches_the_golden_record():
+    # 64 fibers of degree 2 to 7 whose entries were recorded with the
+    # reduction over the field Q(t) (the file's "about" says which); the
+    # strings must agree exactly
+    t0 = time.perf_counter()
+    fibers = json.loads(GOLDEN.read_text())["fibers"]
+    assert len(fibers) == 64
+    for e in fibers:
+        p = P(e["p"], X)
+        if "error" in e:
+            with pytest.raises(InputError) as info:
+                picard_fuchs(p)
+            assert str(info.value) == e["error"]
+        else:
+            assert picard_fuchs(p).entry_strings() == e["entries"], e["p"]
+    assert time.perf_counter() - t0 < 15.0
+
+
+@pytest.mark.parametrize("text, ts, budget", [
+    ("x^5 - 3*x^4 + 4*x^2 + x - 2", [0.5, 2.0 + 1.0j], None),
+    ("2*x^6 - 2*x^5 - 2*x^4 - 4*x^3 - 4*x^2 - 1", [0.5, 3.0j], None),
+    ("3*x^7 + x^6 - 3*x^5 - 4*x^4 - 3*x^3 + 3*x^2 - 3*x + 4", [0.5, 2.0j],
+     None),
+    ("3*x^9 - 3*x^8 - 3*x^7 + 4*x^6 - 4*x^5 + x^4 - x^3 + 4*x^2 + 2*x - 2",
+     [0.5, 2.0j], 2.0),
+    ("x^11 + 3*x^10 + 2*x^9 + 2*x^8 + 4*x^7 - 4*x^6 - 2*x^5 + 4*x^4 "
+     "- 2*x^3 + 3*x^2 - 4*x - 2", [0.5, 2.0j], 5.0),
+], ids=["deg5", "deg6", "deg7", "deg9", "deg11"])
+def test_pf_residual_past_degree_seven(text, ts, budget):
+    # degree 9 and 11 are the first generic draws of random.Random("fiber:9")
+    # and ("fiber:11"); the budget is on the exact reduction alone
+    t0 = time.perf_counter()
+    conn = picard_fuchs(P(text, X))
+    if budget is not None:
+        assert time.perf_counter() - t0 < budget
+    assert pf_residual(conn, ts) < 1e-5
 
 
 def test_periods_match_quadpack():
@@ -234,16 +280,33 @@ def test_upoly_division_property():
         assert r.is_zero or r.degree < b.degree
 
 
-def test_xp_xgcd_bezout():
+def test_fiber_bezout_identity_and_discriminant():
+    # v0 (p + t) - w p' = chi exactly in Q[t][x], chi monic of degree
+    # deg(p) - 1 and a constant multiple of Res_x(p', p + t), which the
+    # Bareiss resultant computes independently
     rng = random.Random(9)
-    for _ in range(15):
-        a = xp_from_fractions([Fraction(rng.randint(-4, 4)) for _ in range(4)])
-        b = xp_from_fractions([Fraction(rng.randint(-4, 4)) for _ in range(3)])
-        if not a or not b:
-            continue
-        g, u, v = xp_xgcd(a, b)
-        assert xp_add(xp_mul(u, a), xp_mul(v, b)) == g
-        assert g and g[-1] == RatFrac.one()
+    xt = ("x", "t")
+    for deg in range(2, 11):
+        fr = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+              for _ in range(deg)] + [Fraction(rng.choice([1, 2, -3]))]
+        chi, v0, w = fiber_bezout(fr)
+        pt = tx_add([UPoly.constant(c) for c in fr], [UPoly.x()])
+        dp = [UPoly.constant(c * k) for k, c in enumerate(fr)][1:]
+        assert tx_add(tx_mul(v0, pt), [-c for c in tx_mul(w, dp)]) == [chi]
+        assert chi.degree == deg - 1 and chi.lc() == 1
+        p2 = Poly(xt, {(k, 0): c for k, c in enumerate(fr) if c})
+        res = resultant(p2.diff(0), p2 + Poly(xt, {(0, 1): 1}), 0)
+        rc = UPoly([c.coefficient((0, 0)).re for c in res.univariate_in(1)])
+        assert rc == chi * rc.lc()
+
+
+def test_genericity_verdicts():
+    def verdict(text):
+        return _genericity_failure(_real_fraction_coeffs(P(text, X)))
+    assert verdict("x^4 - 2*x^2") == "repeated critical values"
+    assert verdict("x^4 + 1") == "repeated critical points"
+    assert verdict("x^3") == "repeated critical points"
+    assert verdict("x^3 - 3*x") is None
 
 
 def test_ratfrac_field_identities():

@@ -459,7 +459,7 @@ def _build_parsers():
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--center", default=None)
 
-    p = add("monodromy", help="Picard-Lefschetz operators of y^2 = p(x) - t")
+    p = add("monodromy", help="Picard-Lefschetz operators of y^2 = p(x) + t")
     p.add_argument("--p", required=True)
     p.add_argument("--var", default="x")
 

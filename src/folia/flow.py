@@ -15,12 +15,11 @@ not to the underlying trajectory, so the dense solution stays usable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import InputError, NumericError
 from .foliation import FoliationRecord, _poly_scale
@@ -33,6 +32,16 @@ MAX_CHUNKS = 24
 ESCAPE_FACTOR = 1e3
 SPEED_FLOOR = 1e-9
 PREFLIGHT = 1e-7
+_self = sys.modules[__name__]  # a bare global read never reaches __getattr__
+
+
+def __getattr__(name):
+    # import scipy.integrate (about 0.5 s) on first use, not at module load
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    globals()[name] = solve_ivp
+    return solve_ivp
 
 
 @dataclass
@@ -168,18 +177,18 @@ def _integrate_to_section(rhs: Callable, z0: np.ndarray, section: Transversal,
         if vz <= v_floor:
             raise NumericError("leaf ran into a singular point")
         h = PREFLIGHT * scale / vz
-        pre = solve_ivp(rhs, (0.0, h), z, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True)
+        pre = _self.solve_ivp(rhs, (0.0, h), z, method="DOP853",
+                              rtol=rtol, atol=atol, dense_output=True)
         if not pre.success:
             raise NumericError(f"integrator failed during pre-flight: {pre.message}")
         pieces.append((t_global, t_global + h, pre.sol))
         t_global += h
         z = pre.y[:, -1]
 
-        sol = solve_ivp(rhs, (0.0, chunk), z, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True,
-                        max_step=max_step,
-                        events=[ev_section, ev_speed, ev_escape])
+        sol = _self.solve_ivp(rhs, (0.0, chunk), z, method="DOP853",
+                              rtol=rtol, atol=atol, dense_output=True,
+                              max_step=max_step,
+                              events=[ev_section, ev_speed, ev_escape])
         if not sol.success and sol.status != 1:
             raise NumericError(f"integrator failed: {sol.message}")
         t_end = sol.t[-1]
@@ -388,6 +397,7 @@ def cycle_through_level(record: FoliationRecord, center: Sequence[float],
             f"could not bracket level {float(level)} along the ray from "
             f"({float(p[0])}, {float(p[1])})"
         )
+    from scipy.optimize import brentq
     s_star = brentq(g, s_lo, s_hi, xtol=1e-14, rtol=8.9e-16)
     return trace_cycle(record, p + s_star * u, num_points=num_points)
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InputError, NumericError
 from .flow import CycleApprox, Transversal, trace_cycle
@@ -268,6 +267,7 @@ def cycle_at(problem: MelnikovProblem, t: float,
                 f"level {t} is not reached on the section "
                 f"(window up to s = {sec.s_hi})"
             )
+        from scipy.optimize import brentq
         s_star = brentq(g, bracket[0], bracket[1], xtol=1e-15, rtol=8.9e-16)
     seed = sec.point_at(s_star)
     cycle = trace_cycle(problem.record, seed, num_points=num_points)

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, NumericError
 from .poly import Poly
@@ -39,6 +39,16 @@ COLLISION_REL = 1e-9
 RETURN_TOL = 1e-8
 TIE_REL = 1e-9
 EIG_BLOCK = 64
+_self = sys.modules[__name__]  # a bare global read never reaches __getattr__
+
+
+def __getattr__(name):
+    # import scipy.optimize (about 0.5 s) on first use, not at module load
+    if name != "linear_sum_assignment":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linear_sum_assignment
+    globals()[name] = linear_sum_assignment
+    return linear_sum_assignment
 
 
 class _RetryTracking(Exception):
@@ -227,7 +237,7 @@ def _critical_values(coeffs: list[Fraction]) -> list[complex]:
 def _match_roots(ref: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """``roots`` reordered to follow ``ref`` with least total displacement."""
     cost = np.abs(ref[:, None] - roots[None, :])
-    _, cols = linear_sum_assignment(cost)
+    _, cols = _self.linear_sum_assignment(cost)
     return roots[cols]
 
 

@@ -453,6 +453,64 @@ def test_output_bytes_independent_of_thread_env(tmp_path):
     assert doc["orbit_rank"] == 4
 
 
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import folia, folia.cli
+from folia import cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+assert not scipy_modules(), "importing folia loaded scipy"
+*algebraic, holonomy = json.loads(sys.argv[1])
+for argv in algebraic:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+    assert not scipy_modules(), argv[0] + " loaded scipy"
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.run(holonomy) == 0
+assert scipy_modules(), "holonomy ran without scipy"
+print(out.getvalue(), end="")
+"""
+
+
+def test_algebraic_commands_never_load_scipy(capsys, tmp_path, circle_file):
+    files = {
+        "w.json": '{"kind": "form", "variables": ["x", "y"],'
+                  ' "coefficients": ["x^3*y", "0"]}',
+        "map.json": '{"kind": "map", "variables": ["x", "y", "z"],'
+                    ' "components": ["x*y - z", "x + y + z"]}',
+        "form.json": '{"kind": "form", "variables": ["u", "v"],'
+                     ' "coefficients": ["v", "u"]}',
+        "w3.json": '{"kind": "form", "variables": ["x", "y", "z"],'
+                   ' "coefficients": ["y", "1", "1"]}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    f = {name: str(tmp_path / name) for name in (*files, "tri.json")}
+    holonomy = ["holonomy", "--form", circle_file, "--t", "0.25", "--t", "0.5"]
+    argvs = [
+        ["picard-fuchs", "--p", "x^3 - 3*x"],
+        ["brieskorn", "--m", "3", "--omega", f["w.json"]],
+        ["pullback", "--map", f["map.json"], "--form", f["form.json"]],
+        ["integrability", "--form", f["w3.json"]],
+        ["dulac", "--family", "A", "--index", "1", "--variables", "p,q"],
+        ["monodromy", "--p", "x^3 - 3*x"],
+        ["sing", "--form", circle_file],
+        ["log", "--factor", "x", "--factor", "y", "--factor", "1 - x - y",
+         "--residue", "1", "--residue", "1", "--residue", "1",
+         "--out", f["tri.json"]],
+        ["classify", "--form", f["tri.json"], "--x", "1/3", "--y", "1/3"],
+        holonomy,
+    ]
+    r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    assert cli.run(holonomy) == 0
+    assert r.stdout == capsys.readouterr().out
+
+
 def test_selftest_subset_deterministic():
     a = _spawn(["selftest", "--criteria", "7,8"])
     b = _spawn(["selftest", "--criteria", "7,8"])

@@ -4,10 +4,16 @@
 ``getattr`` and no default, so renaming or removing one of them crashes
 every traced benchmark run.  This test reads the tracer's own list of
 hooks, so a change that moves a hooked name fails here first.
+
+``folia.flow.solve_ivp`` and ``folia.monodromy.linear_sum_assignment``
+are imported from scipy on first access (a module ``__getattr__``), so
+resolving them here may import scipy.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -54,3 +60,40 @@ def test_installed_tracer_leaves_operators_unchanged():
     assert during == before
     assert rec.pass_summary(0)["calls"]["monodromy.generators"] == 1
     assert monodromy.np is np
+
+
+_LAZY_PROBE = """
+import importlib.util, sys
+import numpy as np
+import folia
+from folia import flow, monodromy
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+assert not scipy_loaded()
+spec = importlib.util.spec_from_file_location("_perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+rec = tracing.Recorder()
+rec.install(0)
+try:
+    circle = folia.parse_poly("1/2*x^2 + 1/2*y^2", ("x", "y"))
+    flow.trace_cycle(folia.hamiltonian(circle), (1.0, 0.0))
+    monodromy._match_roots(np.array([0j, 1j]), np.array([1j, 0j]))
+finally:
+    rec.uninstall()
+counts = rec.pass_summary(0)["counts"]
+assert counts["flow.solve_ivp_calls"] >= 1, counts
+assert counts["monodromy.assignment_calls"] >= 1, counts
+import scipy.integrate, scipy.optimize
+assert flow.solve_ivp is scipy.integrate.solve_ivp
+assert monodromy.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+assert getattr(flow, "no_such_name", None) is None
+"""
+
+
+def test_tracer_hooks_the_lazy_scipy_names():
+    r = subprocess.run([sys.executable, "-c", _LAZY_PROBE, str(TRACING)],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr

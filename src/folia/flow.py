@@ -75,10 +75,6 @@ class Transversal:
         z = np.asarray(z, dtype=float)
         return float(np.dot(z - self.base, self.direction))
 
-    def offset_of(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(np.dot(z - self.base, self.normal))
-
 
 def section_at(record: FoliationRecord, point: Sequence[float],
                half_width: float | None = None) -> Transversal:

@@ -35,14 +35,13 @@ from .errors import InputError, NumericError
 from .flow import CycleApprox
 from .foliation import hamiltonian
 from .forms import DifferentialForm
-from .melnikov import cycle_at, m1_on_cycle, make_problem
+from .melnikov import (N_MAX, cycle_at, m1_on_cycle, make_problem,
+                       node_doubling)
 from .monodromy import (_critical_values, _descending, _genericity_failure,
                         _match_roots, _polished_roots, _real_fraction_coeffs)
 from .poly import Poly
 from .ratfunc import RatFrac, UPoly, fiber_bezout, tx_add, tx_divmod, tx_mul
 
-PERIOD_N_START = 64
-PERIOD_N_MAX = 65536
 PERIOD_REL_TOL = 1e-11
 PAD_FRACTION = 0.45
 FIBER_NEWTON_STEPS = 4
@@ -131,9 +130,8 @@ def _contour_quad(coeffs: np.ndarray, t: complex, roots: np.ndarray, pair: int,
     z_of, dz_of = _pair_contour(roots, pair)
     ct = coeffs.copy()
     ct[-1] += t
-    n = PERIOD_N_START
-    prev = None
-    while n <= PERIOD_N_MAX:
+
+    def at(n):
         theta = np.arange(n) * (2.0 * math.pi / n)
         z = z_of(theta)
         w = np.polyval(ct, z)
@@ -141,14 +139,11 @@ def _contour_quad(coeffs: np.ndarray, t: complex, roots: np.ndarray, pair: int,
             raise NumericError("contour passes through a branch point")
         y = _continued_sqrt(w)
         vals = fn(z, y, dz_of(theta))
-        cur = complex(np.sum(vals) * (2.0 * math.pi / n))
-        if prev is not None and abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    raise NumericError(
-        f"period quadrature did not stabilize within {PERIOD_N_MAX} nodes"
-    )
+        return complex(np.sum(vals) * (2.0 * math.pi / n))
+
+    return node_doubling(
+        at, rel_tol,
+        f"period quadrature did not stabilize within {N_MAX} nodes")
 
 
 def basis_periods(p: Poly, t: complex, pair: int | None = None,
@@ -314,9 +309,7 @@ def _eta_integral(cycle: CycleApprox, g_fn, fx_fn, fy_fn,
     expressions -(g/f_y) dx and (g/f_x) dy restrict to the same form on
     the level curve, so mixing them along the cycle is exact.
     """
-    n = PERIOD_N_START
-    prev = None
-    while n <= PERIOD_N_MAX:
+    def at(n):
         pts, w = cycle.quadrature_nodes(n)
         x, y = pts[:, 0], pts[:, 1]
         gv = np.asarray(g_fn(x, y), dtype=float)
@@ -330,14 +323,11 @@ def _eta_integral(cycle: CycleApprox, g_fn, fx_fn, fy_fn,
         contrib = np.where(use_y,
                            -gv * w[:, 0] / np.where(use_y, fyv, 1.0),
                            gv * w[:, 1] / np.where(use_y, 1.0, fxv))
-        cur = float(np.sum(contrib))
-        if prev is not None and abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    raise NumericError(
-        f"quotient-form quadrature did not stabilize within {PERIOD_N_MAX} nodes"
-    )
+        return float(np.sum(contrib))
+
+    return node_doubling(
+        at, rel_tol,
+        f"quotient-form quadrature did not stabilize within {N_MAX} nodes")
 
 
 def gelfand_leray_check(f: Poly, omega: DifferentialForm,

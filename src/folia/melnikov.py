@@ -299,20 +299,28 @@ def _quad(problem: MelnikovProblem, cycle: CycleApprox, n: int) -> float:
     return float(np.sum(contrib))
 
 
+def node_doubling(evaluate: Callable[[int], complex], rel_tol: float,
+                  failure: str):
+    """``evaluate(n)`` for n = N_START, 2 N_START, ... up to N_MAX nodes,
+    until two consecutive values agree to ``rel_tol`` (relative, absolute
+    below 1); the last value, or NumericError(failure) when none settle."""
+    n = N_START
+    prev = evaluate(n)
+    while n < N_MAX:
+        n *= 2
+        cur = evaluate(n)
+        if abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise NumericError(failure)
+
+
 def m1_on_cycle(problem: MelnikovProblem, cycle: CycleApprox,
                 rel_tol: float = REL_TOL) -> float:
     """M1 over one traced cycle, with node-doubling refinement."""
-    n = N_START
-    prev = _quad(problem, cycle, n)
-    while n < N_MAX:
-        n *= 2
-        cur = _quad(problem, cycle, n)
-        if abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
-            return -cur
-        prev = cur
-    raise NumericError(
-        f"quadrature did not stabilize to {rel_tol} within {N_MAX} nodes"
-    )
+    return -node_doubling(
+        lambda n: _quad(problem, cycle, n), rel_tol,
+        f"quadrature did not stabilize to {rel_tol} within {N_MAX} nodes")
 
 
 def m1(problem: MelnikovProblem, t: float, rel_tol: float = REL_TOL) -> float:

@@ -380,12 +380,6 @@ def _loop_samples(model: FibrationModel, j: int,
 
 # ---- braid tracking ---------------------------------------------------------
 
-def _min_sep(roots: np.ndarray) -> float:
-    d = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
-
-
 def _roots_along(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Row k holds the roots of descending ``coeffs`` + ``ts[k]``, exactly as
     ``np.roots`` returns them: ``eigvals`` on stacks of the companion
@@ -428,25 +422,24 @@ class _Tracker:
         self.matrix = _identity(n)
         self.word: list[tuple[int, int]] = []
 
-    def _order(self, roots: np.ndarray, phi: float) -> list[int]:
-        # Sort by projected real part, but real parts closer than the root
-        # finder's noise floor are a tie and fall through to the imaginary
-        # part (the limit of a slightly positive frame angle).  Without the
-        # tie a conjugate pair on a real segment flips order at random and
-        # floods the word with fake crossings.
-        w = roots * cmath.exp(-1j * phi)
-        re, im = w.real.tolist(), w.imag.tolist()
-        idx = sorted(range(len(re)), key=re.__getitem__)
-        tol = TIE_REL * self.scale
-        out: list[int] = []
-        k, n = 0, len(idx)
-        while k < n:
-            g = k + 1
-            while g < n and re[idx[g]] - re[idx[g - 1]] < tol:
-                g += 1
-            out.extend(sorted(idx[k:g], key=im.__getitem__))
-            k = g
-        return out
+    def _orders(self, roots: np.ndarray, phis) -> np.ndarray:
+        """Row i's projection order at frame angle ``phis[i]``, as row
+        indices.  Sort by projected real part, but a chain of real parts
+        each closer than the root finder's noise floor to the next is a tie
+        and falls through to the imaginary part (the limit of a slightly
+        positive frame angle).  Without the tie a conjugate pair on a real
+        segment flips order at random and floods the word with fake
+        crossings."""
+        rot = np.array([cmath.exp(-1j * phi) for phi in phis])
+        w = roots * rot[:, None]
+        by_re = np.argsort(w.real, axis=1, kind="stable")
+        re = np.take_along_axis(w.real, by_re, axis=1)
+        group = np.zeros(re.shape, dtype=int)
+        group[:, 1:] = np.cumsum(np.diff(re, axis=1) >= TIE_REL * self.scale,
+                                 axis=1)
+        im = np.take_along_axis(w.imag, by_re, axis=1)
+        return np.take_along_axis(by_re, np.lexsort((im, group), axis=-1),
+                                  axis=1)
 
     def _emit(self, k: int, sign: int):
         # left-multiply by the elementary twist, which moves row k alone
@@ -457,11 +450,11 @@ class _Tracker:
                 for col, v in enumerate(m[k])]
         self.word.append((k, sign))
 
-    def _events(self, r0, r1, phi0, phi1) -> list[tuple[int, int]] | None:
-        ord0 = self._order(r0, phi0)
-        ord1 = self._order(r1, phi1)
-        if ord0 == ord1:
-            return []
+    def _events(self, r0, r1, ord0, ord1, phi0,
+                phi1) -> list[tuple[int, int]] | None:
+        """The signed adjacent transpositions taking projection order
+        ``ord0`` of ``r0`` to ``ord1`` of ``r1`` (both in tracked labels),
+        or None when the change is not a set of disjoint adjacent swaps."""
         pos1 = {idx: p for p, idx in enumerate(ord1)}
         perm = [pos1[idx] for idx in ord0]
         m = len(perm)
@@ -497,46 +490,17 @@ class _Tracker:
                 f"(critical value {self.index}, t = {_t_text(t1)})")
         self.roots = new
 
-    def advance(self, s0, s1, check_collision: bool, depth: int = 0):
-        t1, phi1 = s1[0], s1[1]
-        new = _match_roots(self.roots,
-                           _polished_roots(self.coeffs, 0, shift=t1))
-        sep0 = _min_sep(self.roots)
-        move = float(np.max(np.abs(new - self.roots)))
-        events = None
-        if move < MATCH_FRACTION * sep0:
-            events = self._events(self.roots, new, s0[1], phi1)
-        if events is None:
-            if depth >= MAX_DEPTH:
-                if move >= MATCH_FRACTION * sep0:
-                    raise NumericError(
-                        "root tracking lost between samples (critical value "
-                        f"{self.index}, t from {_t_text(s0[0])} to "
-                        f"{_t_text(t1)}, frame angle {float(phi1):.6g})")
-                raise _RetryTracking("crossing pattern did not disentangle")
-            mid = (0.5 * (s0[0] + t1), 0.5 * (s0[1] + phi1))
-            self.advance(s0, mid, check_collision, depth + 1)
-            self.advance(mid, s1, check_collision, depth + 1)
-            return
-        self._commit(new, events, t1, check_collision
-                     and _min_sep(new) < COLLISION_REL * self.scale)
+    def sweep(self, samples, depth: int = 0):
+        """Track the roots along all samples, with the per-sample work done
+        on whole arrays.
 
-    def sweep(self, samples):
-        """Track the roots along all samples, as ``advance`` on each
-        consecutive pair would, with the per-sample work done on whole
-        arrays.
-
-        A step is taken on the arrays alone when the nearest-neighbour
-        match is a bijection moving every root by less than
-        ``MATCH_FRACTION`` times the minimum separation (then it is the
-        unique least-displacement assignment, the one ``_match_roots``
-        finds), no collision is due, and the projection order provably
-        stays put: no two projected real parts within twice the tie
-        tolerance in either sample (so ``_order`` is the plain sort, even
-        if the batched product rounds differently in the last bit) and
-        the same sort on both sides.  A step that misses the order test
-        goes to ``_events``; one whose match is rejected, or whose
-        crossings do not disentangle, to ``advance`` and its bisection.
+        A step is taken when the nearest-neighbour match is a bijection
+        moving every root by less than ``MATCH_FRACTION`` times the minimum
+        separation (then it is the unique least-displacement assignment,
+        the one ``_match_roots`` finds) and no collision is due; where the
+        projection order changes, ``_events`` reads its crossings.  A step
+        whose match is rejected, or whose crossings do not disentangle, is
+        bisected: the same sweep runs over its two halves, one level deeper.
         """
         n = len(self.roots)
         roots = np.empty((len(samples), n), dtype=complex)
@@ -556,14 +520,9 @@ class _Tracker:
             move = np.maximum(move, dist.min(axis=1))
         matched = ((np.sort(near, axis=1) == np.arange(n)).all(axis=1)
                    & (move < MATCH_FRACTION * sep[:-1]))
-        rot = np.array([cmath.exp(-1j * s[1]) for s in samples])
-        x = (roots * rot[:, None]).real
-        order = np.argsort(x, axis=1)
-        gaps = np.diff(np.take_along_axis(x, order, axis=1), axis=1)
-        untied = (gaps >= 2.0 * TIE_REL * self.scale).all(axis=1)
-        still = (untied[:-1] & untied[1:]
-                 & (np.take_along_axis(near, order[:-1], axis=1)
-                    == order[1:]).all(axis=1))
+        order = self._orders(roots, [s[1] for s in samples])
+        still = (np.take_along_axis(near, order[:-1], axis=1)
+                 == order[1:]).all(axis=1)
         # collision detection is waived on the critical circle, where the
         # vanishing pair legitimately gets close
         check = np.array([not (s0[2] and s1[2])
@@ -585,16 +544,26 @@ class _Tracker:
             events = None
             if matched[i]:
                 new = roots[i + 1][nxt]
-                events = (self._events(self.roots, new, s0[1], s1[1])
-                          if not still[i] else [])
+                events = [] if still[i] else self._events(
+                    self.roots, new, np.argsort(perm)[order[i]].tolist(),
+                    np.argsort(nxt)[order[i + 1]].tolist(), s0[1], s1[1])
             if events is not None:
                 self._commit(new, events, s1[0], bool(collided[i]))
                 perm = nxt
-            else:
-                # advance ends on np.roots at s1, a reordering of the row
-                self.advance(s0, s1, bool(check[i]))
-                perm = np.abs(roots[i + 1][None, :]
-                              - self.roots[:, None]).argmin(axis=1).tolist()
+                continue
+            if depth >= MAX_DEPTH:
+                if not matched[i]:
+                    raise NumericError(
+                        "root tracking lost between samples (critical value "
+                        f"{self.index}, t from {_t_text(s0[0])} to "
+                        f"{_t_text(s1[0])}, frame angle {float(s1[1]):.6g})")
+                raise _RetryTracking("crossing pattern did not disentangle")
+            mid = (0.5 * (s0[0] + s1[0]), 0.5 * (s0[1] + s1[1]),
+                   s0[2] and s1[2])
+            self.sweep([s0, mid, s1], depth + 1)
+            # the sub-sweep ends on the roots at s1, a reordering of the row
+            perm = np.abs(roots[i + 1][None, :]
+                          - self.roots[:, None]).argmin(axis=1).tolist()
         self.roots = roots[-1][perm]
 
 

@@ -1,4 +1,4 @@
-"""Univariate exact arithmetic: Q[t], the field Q(t), and Q[t][x].
+"""Univariate exact arithmetic: Q[t], Q[t][x], and reduced fractions over Q[t].
 
 The Picard-Fuchs reduction works in the ring Q[t][x]: fiber polynomials
 ``q(x) = p(x) + t`` have coefficients polynomial in the level value t,
@@ -7,7 +7,8 @@ in advance.  Nothing here is numeric; evaluation helpers convert on
 demand.
 
 ``UPoly``   dense polynomial over Fraction, trailing zeros stripped.
-``RatFrac`` reduced fraction of two UPoly with monic denominator.
+``RatFrac`` a Picard-Fuchs entry: the fraction of two UPoly in lowest
+            terms with monic denominator, kept for printing and evaluation.
 ``tx_*``    helpers treating ``list[UPoly]`` as polynomials in x over Q[t].
 ``fiber_*`` the critical-value polynomial chi(t) and the Bezout
             cofactors of ``(p + t, p')``.
@@ -70,8 +71,6 @@ class UPoly:
             a[i] += c
         return UPoly(a)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UPoly([-c for c in self.coeffs])
 
@@ -79,9 +78,6 @@ class UPoly:
         if not isinstance(other, UPoly):
             other = UPoly.constant(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, UPoly):
@@ -94,16 +90,6 @@ class UPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return UPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative power of a polynomial")
-        r = UPoly.one()
-        for _ in range(n):
-            r = r * self
-        return r
 
     def __divmod__(self, other: "UPoly"):
         if other.is_zero:
@@ -128,18 +114,12 @@ class UPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __eq__(self, other):
         if isinstance(other, UPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == UPoly.constant(other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero
@@ -152,12 +132,6 @@ class UPoly:
 
     def diff(self) -> "UPoly":
         return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_exact(self, v: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
 
     def eval_numeric(self, z):
         acc = 0.0
@@ -198,7 +172,7 @@ def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
 
 
 class RatFrac:
-    """Element of Q(t): reduced quotient of UPoly, monic denominator."""
+    """Quotient of two UPoly in lowest terms, monic denominator."""
 
     __slots__ = ("num", "den")
 
@@ -221,79 +195,6 @@ class RatFrac:
             num = UPoly([c / l for c in num.coeffs])
             den = UPoly([c / l for c in den.coeffs])
         self.num, self.den = num, den
-
-    @classmethod
-    def one(cls) -> "RatFrac":
-        return cls(UPoly.one())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @staticmethod
-    def _coerce(v) -> "RatFrac":
-        if isinstance(v, RatFrac):
-            return v
-        if isinstance(v, UPoly):
-            return RatFrac(v)
-        if isinstance(v, (int, Fraction)):
-            return RatFrac(UPoly.constant(v))
-        raise InputError(f"cannot coerce {v!r} into Q(t)")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return RatFrac(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RatFrac(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero in Q(t)")
-        return RatFrac(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except InputError:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def diff(self) -> "RatFrac":
-        return RatFrac(
-            self.num.diff() * self.den - self.num * self.den.diff(),
-            self.den * self.den,
-        )
-
-    def eval_exact(self, v: Fraction) -> Fraction:
-        d = self.den.eval_exact(v)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at t = {v}")
-        return self.num.eval_exact(v) / d
 
     def eval_numeric(self, z):
         d = self.den.eval_numeric(z)

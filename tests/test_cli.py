@@ -497,6 +497,8 @@ def test_algebraic_commands_never_load_scipy(capsys, tmp_path, circle_file):
         ["integrability", "--form", f["w3.json"]],
         ["dulac", "--family", "A", "--index", "1", "--variables", "p,q"],
         ["monodromy", "--p", "x^3 - 3*x"],
+        # the tracker bisects on this fiber
+        ["monodromy", "--p", "2*x^6 - 2*x^5 - 2*x^4 - 4*x^3 - 4*x^2 - 1"],
         ["sing", "--form", circle_file],
         ["log", "--factor", "x", "--factor", "y", "--factor", "1 - x - y",
          "--residue", "1", "--residue", "1", "--residue", "1",

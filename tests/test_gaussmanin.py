@@ -309,14 +309,16 @@ def test_genericity_verdicts():
     assert verdict("x^3 - 3*x") is None
 
 
-def test_ratfrac_field_identities():
+def test_ratfrac_lowest_terms_and_text():
     n = UPoly([1, 2])          # 1 + 2t
     d = UPoly([-4, 0, 1])      # t^2 - 4
-    r = RatFrac(n, d)
-    assert (r / r) == RatFrac.one()
-    assert (r - r).is_zero
-    assert r.diff() == RatFrac(n.diff() * d - n * d.diff(), d * d)
-    assert r.to_str() == "(2*t + 1)/(t^2 - 4)"
-    assert r.eval_exact(Fraction(0)) == Fraction(-1, 4)
+    g = UPoly([3, -1])         # 3 - t, a common factor to cancel
+    r = RatFrac(n * g * 5, d * g * 3)
+    assert r.num.coeffs == (Fraction(5, 3), Fraction(10, 3))
+    assert r.den.coeffs == (-4, 0, 1)
+    assert r.to_str() == "(10/3*t + 5/3)/(t^2 - 4)"
+    assert RatFrac(n, UPoly([Fraction(1, 2)])).to_str() == "4*t + 2"
+    assert RatFrac(UPoly(), d).to_str() == "0"
+    assert r.eval_numeric(0.0) == -5 / 12
     with pytest.raises(ZeroDivisionError):
-        r.eval_exact(Fraction(2))
+        RatFrac(n, UPoly([0]))

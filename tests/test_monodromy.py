@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from folia.acceptance import _det_int
 from folia.errors import InputError, NumericError
 from folia.monodromy import (
     _roots_along,
+    _Tracker,
     build_model,
     chain_intersection,
     cycle_at_infinity,
@@ -228,6 +230,60 @@ def test_batched_roots_are_bit_identical_to_np_roots():
             shifted = c.copy()
             shifted[-1] += t
             assert np.array_equal(row, np.roots(shifted))
+
+
+def _order_reference(row, phi, tol):
+    # the projection-order rule in plain Python: sort by projected real
+    # part; a chain of neighbours each closer than tol is a tie, sorted by
+    # projected imaginary part
+    w = [complex(z) * cmath.exp(-1j * phi) for z in row]
+    idx = sorted(range(len(w)), key=lambda a: w[a].real)
+    out, k = [], 0
+    while k < len(idx):
+        g = k + 1
+        while g < len(idx) and w[idx[g]].real - w[idx[g - 1]].real < tol:
+            g += 1
+        out.extend(sorted(idx[k:g], key=lambda a: w[a].imag))
+        k = g
+    return out
+
+
+def test_projection_orders_follow_the_tie_rule():
+    tracker = _Tracker(build_model(P("x^3 - 3*x")), 0)
+    tol = monodromy.TIE_REL * tracker.scale
+    rng = random.Random(5150)
+    tied = 0
+    for n in range(3, 9):
+        rows, phis = [], []
+        for _ in range(60):
+            phi = rng.choice([0.0, 0.0, math.pi / 7, math.pi / 3,
+                              rng.uniform(-math.pi, math.pi)])
+            w = []      # projected positions, built in the rotated frame
+            while len(w) < n:
+                x, y = rng.uniform(-3, 3), rng.uniform(0.1, 2)
+                kind = rng.choice(["pair", "chain", "gap", "single"])
+                if kind == "pair":      # conjugates: an exact tie at angle 0
+                    w += [complex(x, y), complex(x, -y)]
+                elif kind == "chain":   # each link inside tol, the whole not
+                    for _ in range(rng.randint(2, 4)):
+                        w.append(complex(x, rng.uniform(-2, 2)))
+                        x += rng.uniform(0.1, 0.9) * tol
+                elif kind == "gap":     # just outside tol: no tie
+                    w += [complex(x, y), complex(x + 1.001 * tol, -y)]
+                else:
+                    w.append(complex(x, y))
+            w = w[:n]
+            rng.shuffle(w)
+            rows.append([z * cmath.exp(1j * phi) for z in w])
+            phis.append(phi)
+        got = tracker._orders(np.array(rows), phis).tolist()
+        want = [_order_reference(r, phi, tol) for r, phi in zip(rows, phis)]
+        assert got == want
+        plain = [sorted(range(n), key=lambda a: (complex(r[a])
+                                                 * cmath.exp(-1j * phi)).real)
+                 for r, phi in zip(rows, phis)]
+        tied += sum(g != q for g, q in zip(got, plain))
+    assert tied > 50    # the ties changed the order of many rows
 
 
 def test_tracking_loss_names_the_loop_and_the_interval(monkeypatch):

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .foliation import FoliationRecord, _poly_scale
+from .foliation import FoliationRecord, residual_scale
 from .poly import Poly
 
 RTOL = 1e-11
@@ -88,7 +88,7 @@ def section_at(record: FoliationRecord, point: Sequence[float],
     pf, qf = record.field_callables()
     vx, vy = pf(x, y), qf(x, y)
     v = math.hypot(vx, vy)
-    scale = max(_poly_scale(record.P, x, y), _poly_scale(record.Q, x, y))
+    scale = residual_scale(record, x, y)
     if v <= 1e-9 * scale:
         raise InputError(f"({x}, {y}) is too close to a singular point for a section")
     if half_width is None:
@@ -256,7 +256,6 @@ class CycleApprox:
     level: float | None
     section: Transversal
     closure_error: float
-    section_index: int = 0
     _path: _PiecewisePath = dc_field(default=None, repr=False)
     _period: float = dc_field(default=0.0, repr=False)
     _ccw_sign: float = dc_field(default=1.0, repr=False)
@@ -269,10 +268,6 @@ class CycleApprox:
 
     def seed(self) -> np.ndarray:
         return self.points[0].copy()
-
-    def at(self, tau):
-        """Trajectory point(s) at flow time tau in [0, period]."""
-        return self._path(tau)
 
     def quadrature_nodes(self, n: int):
         """Nodes and vector weights for CCW line integrals over the cycle.
@@ -498,8 +493,7 @@ def numeric_center_test(record: FoliationRecord, point: Sequence[float],
     p = np.asarray(point, dtype=float)
     pf, qf = record.field_callables()
     vx, vy = pf(p[0], p[1]), qf(p[0], p[1])
-    scale = max(_poly_scale(record.P, p[0], p[1]),
-                _poly_scale(record.Q, p[0], p[1]))
+    scale = residual_scale(record, p[0], p[1])
     if math.hypot(vx, vy) > 1e-6 * scale:
         raise InputError("numeric_center_test needs a singular point")
     if r0 is None:

@@ -9,8 +9,8 @@ Three views of the same structure on the fibrations ``y^2 = p(x) + t``:
   ``i = 0 .. deg(p) - 2``, derived by rewriting ``chi(t) x^i / y^3``
   in Q[t][x] (division by ``p + t``, the Bezout cofactors of
   ``(p + t, p')`` over the critical-value polynomial chi, and the
-  integration-by-parts relations ``d(x^j y) ~ 0``), with each entry
-  reduced over chi once at the end;
+  integration-by-parts relations ``d(x^j y) ~ 0``), each entry a
+  numerator over chi, reduced only when printed;
 * the Brieskorn module of the quasi-homogeneous ``f = y^2 - x^m``, where
   every polynomial 1-form has a unique normal form on the monomial
   classes ``x^a y dx``, ``a = 0 .. m - 2``, with coefficients polynomial
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -146,6 +147,25 @@ def _contour_quad(coeffs: np.ndarray, t: complex, roots: np.ndarray, pair: int,
         f"period quadrature did not stabilize within {N_MAX} nodes")
 
 
+def _fiber_roots(coeffs: np.ndarray, t: complex, pair: int | None,
+                 ref_roots: np.ndarray | None = None):
+    """Branch points of the fiber at t and the index of the enclosed pair.
+
+    The roots follow ``ref_roots`` when given, else (Re, Im) order; a
+    missing ``pair`` is the best-cleared consecutive one.
+    """
+    roots = _polished_roots(coeffs, FIBER_NEWTON_STEPS, shift=t)
+    if ref_roots is not None:
+        roots = _match_roots(ref_roots, roots)
+    else:
+        roots = np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
+    if pair is None:
+        pair = _best_pair(roots)
+    if not (0 <= pair < len(roots) - 1):
+        raise InputError(f"pair index {pair} out of range")
+    return roots, pair
+
+
 def basis_periods(p: Poly, t: complex, pair: int | None = None,
                   rel_tol: float = PERIOD_REL_TOL,
                   ref_roots: np.ndarray | None = None) -> np.ndarray:
@@ -156,15 +176,7 @@ def basis_periods(p: Poly, t: complex, pair: int | None = None,
     contour; ``pair`` indexes the enclosed branch pair in that ordering.
     """
     coeffs = _descending_coeffs(p)
-    roots = _polished_roots(coeffs, FIBER_NEWTON_STEPS, shift=t)
-    if ref_roots is not None:
-        roots = _match_roots(ref_roots, roots)
-    else:
-        roots = np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
-    if pair is None:
-        pair = _best_pair(roots)
-    if not (0 <= pair < len(roots) - 1):
-        raise InputError(f"pair index {pair} out of range")
+    roots, pair = _fiber_roots(coeffs, t, pair, ref_roots)
     m = len(coeffs) - 1
     out = np.empty(m - 1, dtype=complex)
     for i in range(m - 1):
@@ -184,12 +196,7 @@ def period_of_form(p: Poly, omega: DifferentialForm, t: complex,
     if omega.degree != 1 or len(omega.vars) != 2:
         raise InputError("periods are defined for plane 1-forms")
     coeffs = _descending_coeffs(p)
-    roots = _polished_roots(coeffs, FIBER_NEWTON_STEPS, shift=t)
-    roots = np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
-    if pair is None:
-        pair = _best_pair(roots)
-    if not (0 <= pair < len(roots) - 1):
-        raise InputError(f"pair index {pair} out of range")
+    roots, pair = _fiber_roots(coeffs, t, pair)
     a_poly, b_poly = omega.coefficients()
     a_fn, b_fn = a_poly.compiled(), b_poly.compiled()
     dp = np.polyder(coeffs)
@@ -205,29 +212,38 @@ def period_of_form(p: Poly, omega: DifferentialForm, t: complex,
 
 @dataclass
 class ConnectionMatrix:
-    """d/dt (periods) = entries @ (periods), entries in Q(t).
+    """d/dt (periods) = (numerators / chi) @ (periods), over Q[t].
 
-    Denominators vanish only at critical values of the fibration; the
-    matrix is regular at every other t.
+    ``chi`` is the monic critical-value polynomial, so the matrix is
+    regular at every t other than a critical value.  Entries are put in
+    lowest terms only when printed.
     """
 
     p: Poly
     size: int
-    entries: tuple[tuple[RatFrac, ...], ...]
+    chi: UPoly
+    numerators: tuple[tuple[UPoly, ...], ...]
     critical_values: tuple[complex, ...]
 
     def entry_strings(self) -> list[list[str]]:
-        return [[e.to_str("t") for e in row] for row in self.entries]
+        return [[RatFrac(n, self.chi).to_str("t") for n in row]
+                for row in self.numerators]
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        # numerator coefficients, highest power first: (length, size, size)
+        deg = max(len(n.coeffs) for row in self.numerators for n in row) or 1
+        return np.array([[[0.0] * (deg - len(n.coeffs))
+                          + [float(c) for c in n.coeffs[::-1]] for n in row]
+                         for row in self.numerators]).transpose(2, 0, 1)
 
     def evaluate(self, t: complex) -> np.ndarray:
         scale = 1.0 + max(abs(c) for c in self.critical_values)
         if min(abs(t - c) for c in self.critical_values) < 1e-9 * scale:
             raise NumericError(f"connection matrix has a pole at t = {t}")
-        out = np.empty((self.size, self.size), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = e.eval_numeric(complex(t))
-        return out
+        t = complex(t)
+        chi = np.polyval([float(c) for c in self.chi.coeffs[::-1]], t)
+        return np.polyval(self._stack, t) / chi
 
 
 def picard_fuchs(p: Poly) -> ConnectionMatrix:
@@ -237,7 +253,7 @@ def picard_fuchs(p: Poly) -> ConnectionMatrix:
     ``y^-3`` terms are pushed back to the basis with the Bezout identity
     ``v0 (p + t) - w p' = chi`` and the exact-form relations.  Every
     divisor has a rational leading coefficient, so all of it stays in
-    Q[t][x], and each entry is one fraction over chi(t) reduced at the end.
+    Q[t][x], and each entry is one numerator over chi(t).
     """
     fr = _real_fraction_coeffs(p)
     m = len(fr) - 1
@@ -251,7 +267,7 @@ def picard_fuchs(p: Poly) -> ConnectionMatrix:
     pt = tx_add([UPoly.constant(c) for c in fr], [UPoly.x()])   # p(x) + t
     dp = [UPoly.constant(c * k) for k, c in enumerate(fr)][1:]  # p'(x)
     half = Fraction(1, 2)
-    rows: list[tuple[RatFrac, ...]] = []
+    rows: list[tuple[UPoly, ...]] = []
     for i in range(m - 1):
         # chi x^i = x^i v0 (p + t) - x^i w p', and -x^i w = quot (p + t) + v
         shift = [UPoly.zero()] * i
@@ -266,9 +282,9 @@ def picard_fuchs(p: Poly) -> ConnectionMatrix:
                 rel = tx_add(rel, [UPoly.zero()] * (j - 1) + [c * j for c in pt])
             b = tx_add(b, tx_mul(rel, [b[-1] * (-1 / rel[-1].lc())]))
         b += [UPoly.zero()] * (m - 1 - len(b))
-        rows.append(tuple(RatFrac(c * -half, chi) for c in b))
+        rows.append(tuple(c * -half for c in b))
 
-    return ConnectionMatrix(p=p, size=m - 1, entries=tuple(rows),
+    return ConnectionMatrix(p=p, size=m - 1, chi=chi, numerators=tuple(rows),
                             critical_values=tuple(_critical_values(fr)))
 
 
@@ -284,9 +300,7 @@ def pf_residual(conn: ConnectionMatrix, ts: Sequence[complex],
     worst = 0.0
     for t in ts:
         t = complex(t)
-        ref = _polished_roots(coeffs, FIBER_NEWTON_STEPS, shift=t)
-        ref = np.array(sorted(ref, key=lambda z: (z.real, z.imag)))
-        k = _best_pair(ref) if pair is None else pair
+        ref, k = _fiber_roots(coeffs, t, pair)
         stencil = {}
         for step in (-2, -1, 0, 1, 2):
             stencil[step] = basis_periods(conn.p, t + step * h, pair=k,
@@ -454,40 +468,24 @@ def brieskorn_reduce(basis: BrieskornBasis,
     for (i, j), c in a_poly.terms.items():
         put((i, j, 0), c)
 
-    # odd y-powers fold down to y; even ones are exact and vanish
-    changed = True
-    while changed:
-        changed = False
-        for key in list(work.keys()):
-            if key not in work:
-                continue    # cancelled by an earlier rewrite this pass
-            i, j, l = key
-            if j == 1:
-                continue
-            c = work.pop(key)
-            changed = True
-            if j % 2 == 0:
-                continue
+    # odd y-powers fold down to y; even ones are exact and vanish.  The
+    # fold only makes j = 1 keys, so one pass over the others suffices.
+    for key in [key for key in work if key[1] != 1]:
+        i, j, l = key
+        c = work.pop(key)
+        if j % 2:
             k = (j - 1) // 2
             for l2 in range(k + 1):
                 put((i + m * (k - l2), 1, l + l2), c * math.comb(k, l2))
 
-    # x-degree reduction inside the y dx stratum
-    changed = True
-    while changed:
-        changed = False
-        for key in list(work.keys()):
-            if key not in work:
-                continue
-            i, _, l = key
-            if i <= m - 2:
-                continue
+    # x-degree reduction inside the y dx stratum: the rule lowers i by m,
+    # so one pass from the largest i down leaves nothing above m - 2
+    for i in range(max((key[0] for key in work), default=-1), m - 2, -1):
+        q = i - m + 1
+        for key in [key for key in work if key[0] == i]:
             c = work.pop(key)
-            changed = True
-            q = i - m + 1
-            if q == 0:
-                continue    # x^(m-1) y dx is exact
-            put((i - m, 1, l + 1), c * Fraction(-2 * q, 3 * m + 2 * q))
+            if q:       # x^(m-1) y dx is exact
+                put((i - m, 1, key[2] + 1), c * Fraction(-2 * q, 3 * m + 2 * q))
 
     tv = ("t",)
     out = [Poly.zero(tv) for _ in range(m - 1)]

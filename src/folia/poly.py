@@ -54,6 +54,20 @@ def _as_fraction(v) -> Fraction:
     raise InputError(f"cannot interpret {v!r} as a rational number")
 
 
+def join_terms(terms: Iterable[tuple[bool, object, str]]) -> str:
+    """Print signed terms ``(negative, magnitude, monomial)`` in the given
+    order as ``-3/2*x^2 + y - 1``: a bare magnitude for a constant, a bare
+    monomial for magnitude 1.  No terms print as ``0``."""
+    pieces = []
+    for neg, mag, mono in terms:
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if not pieces:
+            pieces.append(f"-{body}" if neg else body)
+        else:
+            pieces.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(pieces) or "0"
+
+
 class GaussianRational:
     """An exact element ``re + im*i`` of Q(i)."""
 
@@ -220,10 +234,6 @@ class Poly:
             raise InputError(f"unknown variable {name!r} (have {venv})")
         exps = tuple(1 if v == name else 0 for v in venv)
         return cls(venv, {exps: 1})
-
-    @classmethod
-    def monomial(cls, variables: Sequence[str], exps: Sequence[int], coeff=1) -> "Poly":
-        return cls(variables, {tuple(exps): coeff})
 
     def zero_like(self) -> "Poly":
         return Poly.zero(self.vars)
@@ -507,34 +517,19 @@ class Poly:
     # ---- printing -------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
                        reverse=True)
-        pieces = []
+        terms = []
         for exps, c in items:
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.vars, exps) if e
             )
             if c.is_real:
-                neg = c.re < 0
-                mag = abs(c.re)
-                if not mono:
-                    body = str(mag)
-                elif mag == 1:
-                    body = mono
-                else:
-                    body = f"{mag}*{mono}"
+                terms.append((c.re < 0, abs(c.re), mono))
             else:
-                neg = False
-                cs = f"({c})"
-                body = cs if not mono else f"{cs}*{mono}"
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(pieces)
+                terms.append((False, f"({c})", mono))
+        return join_terms(terms)
 
     def __repr__(self):
         return f"Poly({self.vars!r}, {str(self)!r})"

@@ -1,14 +1,14 @@
-"""Univariate exact arithmetic: Q[t], Q[t][x], and reduced fractions over Q[t].
+"""Univariate exact arithmetic: Q[t], Q[t][x], and the print-time reduction.
 
 The Picard-Fuchs reduction works in the ring Q[t][x]: fiber polynomials
 ``q(x) = p(x) + t`` have coefficients polynomial in the level value t,
 and the one denominator, the critical-value polynomial chi(t), is known
-in advance.  Nothing here is numeric; evaluation helpers convert on
-demand.
+in advance.  Nothing here is numeric.
 
 ``UPoly``   dense polynomial over Fraction, trailing zeros stripped.
-``RatFrac`` a Picard-Fuchs entry: the fraction of two UPoly in lowest
-            terms with monic denominator, kept for printing and evaluation.
+``RatFrac`` a Picard-Fuchs entry put in lowest terms for printing: a
+            numerator over chi(t) with the common factor cancelled and
+            the denominator made monic.
 ``tx_*``    helpers treating ``list[UPoly]`` as polynomials in x over Q[t].
 ``fiber_*`` the critical-value polynomial chi(t) and the Bezout
             cofactors of ``(p + t, p')``.
@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
+from .poly import join_terms
 
 
 class UPoly:
@@ -133,33 +134,10 @@ class UPoly:
     def diff(self) -> "UPoly":
         return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval_numeric(self, z):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
-        return acc
-
     def to_str(self, var: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(parts)
+        return join_terms(
+            (c < 0, abs(c), "" if i == 0 else var if i == 1 else f"{var}^{i}")
+            for i, c in reversed(list(enumerate(self.coeffs))) if c)
 
     def __repr__(self):
         return f"UPoly({self.to_str()!r})"
@@ -195,10 +173,6 @@ class RatFrac:
             num = UPoly([c / l for c in num.coeffs])
             den = UPoly([c / l for c in den.coeffs])
         self.num, self.den = num, den
-
-    def eval_numeric(self, z):
-        d = self.den.eval_numeric(z)
-        return self.num.eval_numeric(z) / d
 
     def to_str(self, var: str = "t") -> str:
         ns = self.num.to_str(var)

@@ -5,12 +5,22 @@ bounded by a level oval with machinery disjoint from the package's
 line-integral path: radial root finding plus Gauss-Legendre in r and a
 periodic trapezoid in theta.  Ovals must be star shaped around the
 supplied center for the radial parametrization to be single valued.
+
+It also puts ``src`` on ``PYTHONPATH``, so the ``python -m folia`` and
+``python -c`` children that some tests start import the package under
+test without an install, as pytest itself does through ``pythonpath``.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
+
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parent.parent / "src")]
+    + [p for p in [os.environ.get("PYTHONPATH")] if p])
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 

@@ -69,6 +69,8 @@ class FoliationRecord:
     integral: Poly | None = None          # polynomial first integral, if declared
     log_spec: LogarithmicSpec | None = None
     dulac: DulacData | None = None
+    # _scale_factors of P and Q, for residual_scale
+    scale_factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.P.vars != self.Q.vars:
@@ -77,6 +79,7 @@ class FoliationRecord:
             raise InputError("plane foliations need exactly two variables")
         if self.P.is_zero and self.Q.is_zero:
             raise InputError("P and Q cannot both vanish identically")
+        self.scale_factors = (_scale_factors(self.P), _scale_factors(self.Q))
 
     @property
     def vars(self) -> tuple[str, str]:
@@ -295,22 +298,23 @@ def integrability_obstruction(omega: DifferentialForm) -> DifferentialForm:
 # singular points
 
 
-def _coeff_scale(p: Poly) -> float:
-    if p.is_zero:
-        return 0.0
-    return max(abs(complex(c)) for c in p.terms.values())
+def _scale_factors(p: Poly) -> tuple[float, int]:
+    """``(1 + max |coefficient|, total degree)``: the scale of ``p`` at
+    (x, y) is ``factor * (1 + max(|x|, |y|)) ** degree``."""
+    top = max((abs(complex(c)) for c in p.terms.values()), default=0.0)
+    return 1.0 + top, max(p.total_degree(), 0)
 
 
 def _poly_scale(p: Poly, x: complex, y: complex) -> float:
-    d = max(p.total_degree(), 0)
-    m = max(abs(x), abs(y))
-    return (1.0 + _coeff_scale(p)) * (1.0 + m) ** d
+    c, d = _scale_factors(p)
+    return c * (1.0 + max(abs(x), abs(y))) ** d
 
 
 def residual_scale(record: FoliationRecord, x: complex, y: complex) -> float:
     """Scale of the field (P, Q) near (x, y); singular-point residuals
     |P| + |Q| are judged relative to it."""
-    return max(_poly_scale(record.P, x, y), _poly_scale(record.Q, x, y))
+    m = 1.0 + max(abs(x), abs(y))
+    return max(c * m ** d for c, d in record.scale_factors)
 
 
 def _roots_of_poly_in(p: Poly, var_index: int) -> np.ndarray:

@@ -30,6 +30,7 @@ round-trip through the parser.  Exponents and degrees are capped.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -482,38 +483,6 @@ class Poly:
             coeffs[e][rest] = coeffs[e].get(rest, _ZERO) + c
         return [Poly(self.vars, t) for t in coeffs]
 
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Exact polynomial division; raises if the quotient is not exact.
-
-        Used internally by the fraction-free determinant, where theory
-        guarantees divisibility.
-        """
-        self._check_vars(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return self.zero_like()
-        rem = dict(self.terms)
-        quot: dict[tuple[int, ...], GaussianRational] = {}
-        key = lambda e: (sum(e), e)
-        lt_o = max(other.terms, key=key)
-        lc_o = other.terms[lt_o]
-        while rem:
-            lt_r = max(rem, key=key)
-            if any(a < b for a, b in zip(lt_r, lt_o)):
-                raise ValueError("division is not exact")
-            q_exp = tuple(a - b for a, b in zip(lt_r, lt_o))
-            q_c = rem[lt_r] / lc_o
-            quot[q_exp] = quot.get(q_exp, _ZERO) + q_c
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(q_exp, e2))
-                s = rem.get(e, _ZERO) - q_c * c2
-                if s.is_zero:
-                    rem.pop(e, None)
-                else:
-                    rem[e] = s
-        return Poly(self.vars, quot)
-
     # ---- printing -------------------------------------------------------
 
     def __str__(self):
@@ -536,36 +505,134 @@ class Poly:
 
 
 # ---- resultants ---------------------------------------------------------
+#
+# A Gaussian integer is an (re, im) pair of ints; a polynomial with such
+# coefficients is a dict from exponent tuples to pairs.
 
 
-def _bareiss_det(m: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a square matrix of polynomials."""
+def _gaussian_int_coeffs(p: Poly, var_index: int, rest: list[int]):
+    """Scale ``p`` by the lcm L of the denominators of its coefficients'
+    real and imaginary parts.  Returns L and the coefficients of L*p in
+    variable ``var_index``, descending, each a Gaussian-integer polynomial
+    in the variables ``rest``."""
+    lcm = math.lcm(*(f.denominator for c in p.terms.values() for f in (c.re, c.im)))
+    d = p.degree_in(var_index)
+    coeffs: list[dict] = [{} for _ in range(d + 1)]
+    for exps, c in p.terms.items():
+        coeffs[d - exps[var_index]][tuple(exps[v] for v in rest)] = (
+            c.re.numerator * (lcm // c.re.denominator),
+            c.im.numerator * (lcm // c.im.denominator))
+    return lcm, coeffs
+
+
+def _degree_bound(a: Poly, b: Poly, i: int, v: int) -> int:
+    """Bound on the degree in variable ``v`` of the resultant in ``i``.
+
+    In the Sylvester matrix at the formal degrees da, db, the entry of
+    a's row k in column c has degree at most deg_{i,v}(a) - da + c - k
+    in v, where deg_{i,v} is the total degree in i and v (likewise for
+    b's rows); summed over any permutation this is
+    db*deg_{i,v}(a) + da*deg_{i,v}(b) - da*db.  Bounding each entry by
+    deg_v instead gives db*deg_v(a) + da*deg_v(b); the smaller holds.
+    """
+    da, db = a.degree_in(i), b.degree_in(i)
+    tv_a = max(e[i] + e[v] for e in a.terms)
+    tv_b = max(e[i] + e[v] for e in b.terms)
+    return min(db * tv_a + da * tv_b - da * db,
+               db * a.degree_in(v) + da * b.degree_in(v))
+
+
+def _specialise(c: dict, t: int) -> dict:
+    """Substitute ``t`` for the first variable of a Gaussian-integer
+    polynomial."""
+    out: dict = {}
+    for exps, (re, im) in c.items():
+        w = t ** exps[0]
+        r0, i0 = out.get(exps[1:], (0, 0))
+        out[exps[1:]] = (r0 + re * w, i0 + im * w)
+    return out
+
+
+def _gaussian_det(m: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """Fraction-free determinant (Bareiss) of a square matrix of Gaussian
+    integers, which it overwrites.  Each step divides by the previous pivot, a minor that
+    divides the numerator in Z[i], so the integer divisions are exact."""
     n = len(m)
-    if n == 0:
-        raise InputError("empty matrix")
-    zero = m[0][0].zero_like()
-    one = m[0][0].one_like()
-    m = [row[:] for row in m]
-    sign = 1
-    prev = one
+    sign, pr, pi = 1, 1, 0
     for p in range(n - 1):
-        if m[p][p].is_zero:
+        if m[p][p] == (0, 0):
             for r in range(p + 1, n):
-                if not m[r][p].is_zero:
+                if m[r][p] != (0, 0):
                     m[p], m[r] = m[r], m[p]
                     sign = -sign
                     break
             else:
-                return zero
-        piv = m[p][p]
-        for i in range(p + 1, n):
+                return (0, 0)
+        row_p = m[p]
+        ar, ai = row_p[p]
+        nrm = pr * pr + pi * pi
+        for row in m[p + 1:]:
+            br, bi = row[p]
             for j in range(p + 1, n):
-                num = m[i][j] * piv - m[i][p] * m[p][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][p] = zero
-        prev = piv
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+                cr, ci = row[j]
+                dr, di = row_p[j]
+                # (c*a - b*d) / prev, as (c*a - b*d) * conj(prev) / |prev|^2
+                nr = cr * ar - ci * ai - br * dr + bi * di
+                ni = cr * ai + ci * ar - br * di - bi * dr
+                row[j] = ((nr * pr + ni * pi) // nrm, (ni * pr - nr * pi) // nrm)
+        pr, pi = ar, ai
+    dr, di = m[n - 1][n - 1]
+    return (dr, di) if sign > 0 else (-dr, -di)
+
+
+def _newton_interpolate(values: list[int], start: int) -> list[int]:
+    """Ascending coefficients of the integer polynomial of degree below
+    ``len(values)`` that takes ``values`` at start, start + 1, ...
+
+    With unit spacing the divided differences of an integer polynomial
+    are integers (the j-th is its j-th forward difference over j!), so
+    every division is exact.
+    """
+    c = list(values)
+    n = len(c)
+    for j in range(1, n):
+        for k in range(n - 1, j - 1, -1):
+            c[k] = (c[k] - c[k - 1]) // j
+    out = [c[-1]]
+    for k in range(n - 2, -1, -1):
+        x = start + k     # out <- out * (v - x) + c[k]
+        out = ([c[k] - x * out[0]]
+               + [out[e - 1] - x * out[e] for e in range(1, len(out))]
+               + [out[-1]])
+    return out
+
+
+def _interpolated_det(ca: list[dict], cb: list[dict], bounds: list[int]) -> dict:
+    """Determinant of the Sylvester matrix of the descending coefficient
+    lists ``ca`` and ``cb``, Gaussian-integer polynomials whose degree in
+    their k-th variable is at most ``bounds[k]``."""
+    if not bounds:
+        zero = (0, 0)
+        pa = [c.get((), zero) for c in ca]
+        pb = [c.get((), zero) for c in cb]
+        da, db = len(pa) - 1, len(pb) - 1
+        rows = [[zero] * k + pa + [zero] * (db - 1 - k) for k in range(db)]
+        rows += [[zero] * k + pb + [zero] * (da - 1 - k) for k in range(da)]
+        return {(): _gaussian_det(rows)}
+    start = -(bounds[0] // 2)
+    nodes = range(start, start + bounds[0] + 1)
+    values = [_interpolated_det([_specialise(c, t) for c in ca],
+                                [_specialise(c, t) for c in cb], bounds[1:])
+              for t in nodes]
+    out = {}
+    for key in set().union(*values):
+        pairs = [v.get(key, (0, 0)) for v in values]
+        re = _newton_interpolate([r for r, _ in pairs], start)
+        im = _newton_interpolate([i for _, i in pairs], start)
+        for e, (r, i) in enumerate(zip(re, im)):
+            if r or i:
+                out[(e,) + key] = (r, i)
+    return out
 
 
 def resultant(a: Poly, b: Poly, var_index: int) -> Poly:
@@ -576,6 +643,16 @@ def resultant(a: Poly, b: Poly, var_index: int) -> Poly:
     the usual conventions: if both inputs are constant in the variable
     the resultant is 1; if exactly one is constant ``c`` the result is
     ``c`` raised to the other's degree.
+
+    Computed by evaluation and interpolation (Collins, JACM 18, 1971):
+    the inputs are scaled to Gaussian-integer coefficients, using
+    Res(La*a, Lb*b) = La^db * Lb^da * Res(a, b); each remaining variable
+    is set to as many consecutive integers as its degree bound needs,
+    one at a time; the Sylvester determinant at the formal degrees da,
+    db of each point is a fraction-free Bareiss elimination over Z[i];
+    and the real and imaginary parts are interpolated back, exactly.
+    The determinant commutes with evaluating its entries, so no node is
+    skipped and the result is exact.
     """
     a._check_vars(b)
     if a.is_zero or b.is_zero:
@@ -588,22 +665,17 @@ def resultant(a: Poly, b: Poly, var_index: int) -> Poly:
         return a**db
     if db == 0:
         return b**da
-    ca = a.univariate_in(var_index)  # ascending
-    cb = b.univariate_in(var_index)
-    n = da + db
-    zero = a.zero_like()
-    rows: list[list[Poly]] = []
-    for i in range(db):
-        row = [zero] * n
-        for k, c in enumerate(reversed(ca)):  # descending coefficients
-            row[i + k] = c
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * n
-        for k, c in enumerate(reversed(cb)):
-            row[i + k] = c
-        rows.append(row)
-    return _bareiss_det(rows)
+    rest = [v for v in range(a.nvars) if v != var_index]
+    la, ca = _gaussian_int_coeffs(a, var_index, rest)
+    lb, cb = _gaussian_int_coeffs(b, var_index, rest)
+    det = _interpolated_det(ca, cb, [_degree_bound(a, b, var_index, v) for v in rest])
+    scale = la**db * lb**da
+    terms = {}
+    for key, (re, im) in det.items():
+        exps = list(key)
+        exps.insert(var_index, 0)
+        terms[tuple(exps)] = GaussianRational(Fraction(re, scale), Fraction(im, scale))
+    return Poly(a.vars, terms)
 
 
 # ---- parsing -------------------------------------------------------------

@@ -334,8 +334,8 @@ def test_upoly_division_property():
 
 def test_fiber_bezout_identity_and_discriminant():
     # v0 (p + t) - w p' = chi exactly in Q[t][x], chi monic of degree
-    # deg(p) - 1 and a constant multiple of Res_x(p', p + t), which the
-    # Bareiss resultant computes independently
+    # deg(p) - 1 and a constant multiple of Res_x(p', p + t), which
+    # folia.poly.resultant computes independently
     rng = random.Random(9)
     xt = ("x", "t")
     for deg in range(2, 11):

@@ -5,13 +5,17 @@ the expression text directly over Fraction arithmetic, sharing no code
 with the package.
 """
 
+import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from folia import GaussianRational, InputError, ParseError, Poly, parse_poly, resultant
+from folia.foliation import logarithmic
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +265,6 @@ def test_compose_into_other_variables():
     assert q == parse_poly("2*u^2 + 2*v^2", ("u", "v"))
 
 
-def test_exact_div():
-    vs = ("x", "y")
-    rng = random.Random(881)
-    for _ in range(30):
-        a = _random_poly(rng, vs, max_terms=4, max_exp=3, allow_zero=False)
-        b = _random_poly(rng, vs, max_terms=4, max_exp=3, allow_zero=False)
-        if b.is_zero:
-            continue
-        assert (a * b).exact_div(b) == a
-    with pytest.raises(ValueError):
-        parse_poly("x^2 + 1", vs).exact_div(parse_poly("y", vs))
-
-
 # ---------------------------------------------------------------------------
 # resultants
 
@@ -336,6 +327,126 @@ def test_resultant_detects_common_factor():
     r = resultant(f2, g2, 0)
     assert r == parse_poly("1 - y", vs) or r == parse_poly("-(1 - y)", vs)
     assert r.degree_in(0) <= 0
+
+
+# sympy's resultant is the oracle: it shares no code with the package
+
+
+def _to_sympy(p):
+    syms = sympy.symbols(p.vars)
+    return sympy.Add(*[
+        (sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        * sympy.Mul(*[s**e for s, e in zip(syms, exps)])
+        for exps, c in p.terms.items()])
+
+
+def _assert_sympy_resultant(a, b, i):
+    got = resultant(a, b, i)
+    # sympy 1.14 can miss the sign (-1)^(da*db) when the first argument has
+    # the lower degree (Res(y - 1, y^3) comes out as -1), so the higher
+    # degree goes first and Res(a, b) = (-1)^(da*db) Res(b, a) restores it
+    v = sympy.Symbol(a.vars[i])
+    da, db = a.degree_in(i), b.degree_in(i)
+    if da < db:
+        want = (-1) ** (da * db) * sympy.resultant(_to_sympy(b), _to_sympy(a), v)
+    else:
+        want = sympy.resultant(_to_sympy(a), _to_sympy(b), v)
+    assert sympy.expand(want - _to_sympy(got)) == 0, (str(a), str(b), i)
+    return got
+
+
+def _gauss_poly(rng, variables, degree, dense=False):
+    """Seeded polynomial of total degree at most ``degree`` with
+    coefficients in Q(i); ``dense`` gives every monomial a nonzero one."""
+    terms = {}
+    for exps in itertools.product(range(degree + 1), repeat=len(variables)):
+        if sum(exps) > degree or not (dense or rng.random() < 0.4):
+            continue
+        re = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+        im = Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else 0
+        terms[exps] = GaussianRational(re, im)
+    return Poly(variables, terms)
+
+
+def test_resultant_matches_sympy_on_seeded_pairs():
+    vs = ("x", "y")
+    rng = random.Random(1971)
+    for _ in range(48):
+        a = _gauss_poly(rng, vs, rng.randint(1, 4))
+        b = _gauss_poly(rng, vs, rng.randint(1, 4))
+        for i in range(2):
+            _assert_sympy_resultant(a, b, i)
+
+
+def test_resultant_leading_coefficient_vanishing_at_nodes():
+    # the leading coefficients in x vanish at y = 0, +-1, +-2, all nodes
+    vs = ("x", "y")
+    a = parse_poly("(y^2 - 1)*x^2 + (y - 2)*x + y^3 - 3/2", vs)
+    b = parse_poly("y*(y + 2)*x^3 + x*y^2 - 5*y + 1/3", vs)
+    for i in range(2):
+        _assert_sympy_resultant(a, b, i)
+    # a leading coefficient that vanishes identically after scaling
+    c = parse_poly("(y^2 - 1)*(y^2 - 4)*y*x + x^2 - y", vs)
+    _assert_sympy_resultant(c, b, 0)
+
+
+def test_resultant_reaches_its_degree_bound_on_dense_pairs():
+    # dense bivariate pairs of total degrees m, n: Res in x has degree
+    # exactly m*n in y, the bound the interpolation runs to
+    vs = ("x", "y")
+    rng = random.Random(36)
+    for m, n in ((1, 1), (2, 3), (3, 3), (4, 2), (4, 4), (5, 3)):
+        a = _gauss_poly(rng, vs, m, dense=True)
+        b = _gauss_poly(rng, vs, n, dense=True)
+        for i in range(2):
+            r = _assert_sympy_resultant(a, b, i)
+            assert r.degree_in(1 - i) == m * n
+
+
+def test_resultant_matches_sympy_on_common_factor_and_other_arities():
+    rng = random.Random(5)
+    vs = ("x", "y")
+    f = _gauss_poly(rng, vs, 2, dense=True)
+    a = f * _gauss_poly(rng, vs, 2, dense=True)
+    b = f * _gauss_poly(rng, vs, 3, dense=True)
+    for i in range(2):
+        assert _assert_sympy_resultant(a, b, i).is_zero
+    # univariate: the resultant is a constant of Q(i)
+    x = ("x",)
+    r = _assert_sympy_resultant(_gauss_poly(rng, x, 4, dense=True),
+                                _gauss_poly(rng, x, 3, dense=True), 0)
+    assert r.is_constant and not r.is_zero
+    # three variables: two levels of evaluation and interpolation
+    xyz = ("x", "y", "z")
+    a = _gauss_poly(rng, xyz, 2, dense=True)
+    b = _gauss_poly(rng, xyz, 2)
+    for i in range(3):
+        _assert_sympy_resultant(a, b, i)
+
+
+def test_resultant_of_a_dense_degree_12_field_within_budget():
+    # every monomial of degree <= 12 drawn from random.Random(12), in
+    # [-3, 3]; P = f_y and Q = -f_x have degree 11 and their eliminants
+    # degree 121.  About 0.4 s each on a 2-core x86 host
+    rng = random.Random(12)
+    f = Poly(("x", "y"), {(i, n - i): rng.randint(-3, 3)
+                          for n in range(13) for i in range(n + 1)})
+    p, q = f.diff(1), -f.diff(0)
+    for i in range(2):
+        t0 = time.perf_counter()
+        r = resultant(p, q, i)
+        assert time.perf_counter() - t0 < 5.0
+        assert r.degree_in(1 - i) == 121
+
+
+def test_defect_a_eliminants_match_sympy():
+    # the degree-6 logarithmic record whose census exceeds the Bezout bound
+    vs = ("x", "y")
+    rec = logarithmic([parse_poly(t, vs) for t in ("x^3+y^3-1", "x^2-y", "x+y^2-5")],
+                      [1, 2, 3])
+    for i in range(2):
+        assert _assert_sympy_resultant(rec.P, rec.Q, i).degree_in(1 - i) == 34
 
 
 def test_poly_structure_queries():

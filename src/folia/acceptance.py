@@ -11,7 +11,7 @@ to the exit code.
 Independent work items inside a criterion run through
 :func:`parallel_map`, which maps over them serially and in input order.
 The work is pure Python and holds the interpreter lock, so threads do not
-speed it up; ``FOLIATION_THREADS`` is accepted and ignored.
+speed it up.
 
 ``run_acceptance(rel_tol=...)`` exists as a negative control: it
 replaces the quadrature and integrator tolerances in the holonomy
@@ -166,8 +166,8 @@ CIRCLE_F = "1/2*x^2 + 1/2*y^2"
 M1_GRID = tuple(fmt_float(0.1 * k) for k in range(1, 10))
 
 
-def criterion_2_melnikov(quad_rel_tol: float | None = None) -> CriterionResult:
-    rel = melnikov.REL_TOL if quad_rel_tol is None else quad_rel_tol
+def criterion_2_melnikov(rel_tol: float | None = None) -> CriterionResult:
+    rel = melnikov.REL_TOL if rel_tol is None else rel_tol
     circle = hamiltonian(_p(CIRCLE_F))
     rot = make_problem(circle, _form("-y", "x"), center=(0.0, 0.0))
 
@@ -199,11 +199,10 @@ def criterion_2_melnikov(quad_rel_tol: float | None = None) -> CriterionResult:
 # criterion 3: M1 against the measured holonomy displacement
 
 
-def criterion_3_holonomy_consistency(quad_rel_tol: float | None = None,
-                                     ode_rtol: float | None = None) -> CriterionResult:
-    rel = melnikov.REL_TOL if quad_rel_tol is None else quad_rel_tol
-    rtol = flow.RTOL if ode_rtol is None else ode_rtol
-    atol = flow.ATOL if ode_rtol is None else ode_rtol
+def criterion_3_holonomy_consistency(rel_tol: float | None = None) -> CriterionResult:
+    rel = melnikov.REL_TOL if rel_tol is None else rel_tol
+    rtol = flow.RTOL if rel_tol is None else rel_tol
+    atol = flow.ATOL if rel_tol is None else rel_tol
     eps = 1e-4
     circle = hamiltonian(_p(CIRCLE_F))
     perts = [("rotation", _form("-y", "x")),
@@ -253,9 +252,9 @@ INTEGRABLE_SYSTEMS = (
 )
 
 
-def criterion_4_integral_identity(ode_rtol: float | None = None) -> CriterionResult:
-    rtol = flow.RTOL if ode_rtol is None else ode_rtol
-    atol = flow.ATOL if ode_rtol is None else ode_rtol
+def criterion_4_integral_identity(rel_tol: float | None = None) -> CriterionResult:
+    rtol = flow.RTOL if rel_tol is None else rel_tol
+    atol = flow.ATOL if rel_tol is None else rel_tol
     cases = [(name, f_str, seed)
              for name, f_str, seeds in INTEGRABLE_SYSTEMS for seed in seeds]
 
@@ -298,7 +297,7 @@ def _preserves(mat, s) -> bool:
 
 
 def _det_int(mat) -> int:
-    # Fraction elimination, kept apart from monodromy._int_det on purpose:
+    # Fraction elimination, kept apart from poly._gaussian_det on purpose:
     # this is criterion 5's independent oracle for det = 1.
     m = [list(map(Fraction, row)) for row in mat]
     n = len(m)
@@ -572,14 +571,7 @@ def run_acceptance(rel_tol: float | None = None,
     for idx, fn in enumerate(CRITERIA, start=1):
         if only is not None and idx not in only:
             continue
-        if fn is criterion_2_melnikov:
-            results.append(fn(quad_rel_tol=rel_tol))
-        elif fn is criterion_3_holonomy_consistency:
-            results.append(fn(quad_rel_tol=rel_tol, ode_rtol=rel_tol))
-        elif fn is criterion_4_integral_identity:
-            results.append(fn(ode_rtol=rel_tol))
-        else:
-            results.append(fn())
+        results.append(fn(rel_tol=rel_tol) if idx in (2, 3, 4) else fn())
     return AcceptanceReport(results)
 
 

@@ -15,7 +15,7 @@ Contract:
   selftest) and on any internal error;
 * every error path prints a single-line JSON object
   ``{"error": ..., "exit_code": ...}`` on stderr, never a traceback;
-* the commands run serially; ``FOLIATION_THREADS`` is ignored.
+* the commands run serially.
 
 Tolerance flags belong to the commands that read them:
 ``--root-residual-tol`` (sing), ``--ratio-band`` (sing, classify, log),

@@ -32,6 +32,8 @@ MAX_CHUNKS = 24
 ESCAPE_FACTOR = 1e3
 SPEED_FLOOR = 1e-9
 PREFLIGHT = 1e-7
+NUM_POINTS = 1024     # polyline vertices of a traced cycle
+TUBE_FACTOR = 0.2     # holonomy tube radius, as a fraction of the cycle diameter
 _self = sys.modules[__name__]  # a bare global read never reaches __getattr__
 
 
@@ -76,8 +78,7 @@ class Transversal:
         return float(np.dot(z - self.base, self.direction))
 
 
-def section_at(record: FoliationRecord, point: Sequence[float],
-               half_width: float | None = None) -> Transversal:
+def section_at(record: FoliationRecord, point: Sequence[float]) -> Transversal:
     """Transversal through a regular point, perpendicular to the flow.
 
     The direction is the unit vector ``(-Q, P)/|X|`` at the point, which
@@ -91,8 +92,7 @@ def section_at(record: FoliationRecord, point: Sequence[float],
     scale = residual_scale(record, x, y)
     if v <= 1e-9 * scale:
         raise InputError(f"({x}, {y}) is too close to a singular point for a section")
-    if half_width is None:
-        half_width = 0.25 * (1.0 + math.hypot(x, y))
+    half_width = 0.25 * (1.0 + math.hypot(x, y))
     return Transversal(
         base=np.array([x, y]),
         direction=np.array([-vy, vx]) / v,
@@ -287,7 +287,6 @@ class CycleApprox:
 
 
 def trace_cycle(record: FoliationRecord, seed_point: Sequence[float],
-                num_points: int = 1024,
                 rtol: float = RTOL, atol: float = ATOL) -> CycleApprox:
     """Trace the closed leaf through a point and normalize it CCW.
 
@@ -319,7 +318,7 @@ def trace_cycle(record: FoliationRecord, seed_point: Sequence[float],
     total = arc[-1]
     if total <= 0.0:
         raise NumericError("degenerate cycle of zero length")
-    targets = np.linspace(0.0, total, num_points + 1)
+    targets = np.linspace(0.0, total, NUM_POINTS + 1)
     taus = np.interp(targets, arc, np.linspace(0.0, run.t_total, 4096))
     pts = path(taus).T
     pts[-1] = pts[0]
@@ -345,8 +344,8 @@ def trace_cycle(record: FoliationRecord, seed_point: Sequence[float],
 
 
 def cycle_through_level(record: FoliationRecord, center: Sequence[float],
-                        level: float, direction: Sequence[float] = (1.0, 0.0),
-                        num_points: int = 1024) -> CycleApprox:
+                        level: float,
+                        direction: Sequence[float] = (1.0, 0.0)) -> CycleApprox:
     """Trace the cycle on a given level of the first integral.
 
     Walks the ray ``center + s * direction`` until the declared integral
@@ -390,7 +389,7 @@ def cycle_through_level(record: FoliationRecord, center: Sequence[float],
         )
     from scipy.optimize import brentq
     s_star = brentq(g, s_lo, s_hi, xtol=1e-14, rtol=8.9e-16)
-    return trace_cycle(record, p + s_star * u, num_points=num_points)
+    return trace_cycle(record, p + s_star * u)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +408,13 @@ class HolonomySample:
 
 
 def holonomy(record: FoliationRecord, cycle: CycleApprox,
-             tube_factor: float = 0.2,
              rtol: float = RTOL, atol: float = ATOL) -> HolonomySample:
     """Return map of ``record`` computed along the given seed cycle.
 
     The field is integrated from the cycle's seed in the direction of
     the cycle's CCW traversal, until the first in-window return to the
     cycle's own transversal.  The trajectory must stay inside a tube of
-    radius ``tube_factor * diameter`` around the seed polyline; leaving
+    radius ``TUBE_FACTOR * diameter`` around the seed polyline; leaving
     it means the deformation is too large for the return map to be
     meaningful, and raises NumericError.
 
@@ -444,10 +442,10 @@ def holonomy(record: FoliationRecord, cycle: CycleApprox,
         traj = traj[:: traj.shape[0] // 256 + 1]
     d2 = ((traj[:, None, :] - cycle.points[None, :, :]) ** 2).sum(axis=2)
     worst = float(np.sqrt(d2.min(axis=1).max()))
-    if worst > tube_factor * diam:
+    if worst > TUBE_FACTOR * diam:
         raise NumericError(
             f"trajectory strayed {worst:.3e} from the seed cycle "
-            f"(allowed {tube_factor * diam:.3e}); deformation too large"
+            f"(allowed {TUBE_FACTOR * diam:.3e}); deformation too large"
         )
 
     t_in = t_out = None
@@ -477,9 +475,8 @@ class CenterVerdict:
     note: str = ""
 
 
-def numeric_center_test(record: FoliationRecord, point: Sequence[float],
-                        r0: float | None = None, n_radii: int = 4,
-                        ratio: float = 0.6) -> CenterVerdict:
+def numeric_center_test(record: FoliationRecord,
+                        point: Sequence[float]) -> CenterVerdict:
     """Decide dynamically whether a singular point behaves like a center.
 
     Launches leaves from seeds on a ray at geometrically shrinking radii
@@ -496,8 +493,7 @@ def numeric_center_test(record: FoliationRecord, point: Sequence[float],
     scale = residual_scale(record, p[0], p[1])
     if math.hypot(vx, vy) > 1e-6 * scale:
         raise InputError("numeric_center_test needs a singular point")
-    if r0 is None:
-        r0 = 0.05 * (1.0 + float(np.hypot(p[0], p[1])))
+    r0 = 0.05 * (1.0 + float(np.hypot(p[0], p[1])))
 
     use_integral = record.integral is not None and record.integral.is_real()
     fz = record.integral.compiled() if use_integral else None
@@ -514,8 +510,8 @@ def numeric_center_test(record: FoliationRecord, point: Sequence[float],
 
         samples = []
         try:
-            for k in range(n_radii):
-                r = r0 * ratio**k
+            for k in range(4):
+                r = r0 * 0.6**k
                 z = p + r * u
                 run = _integrate_to_section(rhs, z, section)
                 if use_integral:

@@ -114,8 +114,8 @@ class SingularPoint:
     def location(self) -> tuple[complex, complex]:
         return (self.x, self.y)
 
-    def is_real_point(self, tol: float = 1e-9) -> bool:
-        return abs(self.x.imag) <= tol and abs(self.y.imag) <= tol
+    def is_real_point(self) -> bool:
+        return abs(self.x.imag) <= 1e-9 and abs(self.y.imag) <= 1e-9
 
 
 @dataclass

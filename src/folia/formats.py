@@ -101,14 +101,14 @@ def load_json_file(path: str) -> Any:
         ) from e
 
 
-def _require_keys(doc: dict, path: str, required: set, optional: set = frozenset()):
+def _require_keys(doc: dict, path: str, required: set):
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
     keys = set(doc)
     missing = required - keys
     if missing:
         raise InputError(f"{path}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = keys - required
     if unknown:
         raise InputError(f"{path}: unknown keys {sorted(unknown)}")
 

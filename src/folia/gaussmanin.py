@@ -44,6 +44,7 @@ from .poly import Poly
 from .ratfunc import RatFrac, UPoly, fiber_bezout, tx_add, tx_divmod, tx_mul
 
 PERIOD_REL_TOL = 1e-11
+GL_REL_TOL = 1e-10      # node doubling on both sides of Gelfand-Leray
 PAD_FRACTION = 0.45
 FIBER_NEWTON_STEPS = 4
 
@@ -126,7 +127,7 @@ def _continued_sqrt(w: np.ndarray) -> np.ndarray:
 
 
 def _contour_quad(coeffs: np.ndarray, t: complex, roots: np.ndarray, pair: int,
-                  fn: Callable, rel_tol: float) -> complex:
+                  fn: Callable) -> complex:
     """Integrate fn(z, y, dz) over the pair contour, doubling nodes."""
     z_of, dz_of = _pair_contour(roots, pair)
     ct = coeffs.copy()
@@ -143,7 +144,7 @@ def _contour_quad(coeffs: np.ndarray, t: complex, roots: np.ndarray, pair: int,
         return complex(np.sum(vals) * (2.0 * math.pi / n))
 
     return node_doubling(
-        at, rel_tol,
+        at, PERIOD_REL_TOL,
         f"period quadrature did not stabilize within {N_MAX} nodes")
 
 
@@ -167,7 +168,6 @@ def _fiber_roots(coeffs: np.ndarray, t: complex, pair: int | None,
 
 
 def basis_periods(p: Poly, t: complex, pair: int | None = None,
-                  rel_tol: float = PERIOD_REL_TOL,
                   ref_roots: np.ndarray | None = None) -> np.ndarray:
     """Periods of ``x^i dx / y``, i = 0..deg(p)-2, over one fiber cycle.
 
@@ -181,13 +181,12 @@ def basis_periods(p: Poly, t: complex, pair: int | None = None,
     out = np.empty(m - 1, dtype=complex)
     for i in range(m - 1):
         out[i] = _contour_quad(coeffs, t, roots, pair,
-                               lambda z, y, dz, i=i: z**i / y * dz, rel_tol)
+                               lambda z, y, dz, i=i: z**i / y * dz)
     return out
 
 
 def period_of_form(p: Poly, omega: DifferentialForm, t: complex,
-                   pair: int | None = None,
-                   rel_tol: float = PERIOD_REL_TOL) -> complex:
+                   pair: int | None = None) -> complex:
     """Period of a polynomial 1-form ``a dx + b dy`` over one fiber cycle.
 
     On the fiber, ``dy = p'(x) dx / (2y)``; both coefficients are
@@ -205,7 +204,7 @@ def period_of_form(p: Poly, omega: DifferentialForm, t: complex,
         dy = np.polyval(dp, z) * dz / (2.0 * y)
         return a_fn(z, y) * dz + b_fn(z, y) * dy
 
-    return _contour_quad(coeffs, t, roots, pair, fn, rel_tol)
+    return _contour_quad(coeffs, t, roots, pair, fn)
 
 
 # ---- exact Picard-Fuchs connection -------------------------------------------
@@ -226,7 +225,7 @@ class ConnectionMatrix:
     critical_values: tuple[complex, ...]
 
     def entry_strings(self) -> list[list[str]]:
-        return [[RatFrac(n, self.chi).to_str("t") for n in row]
+        return [[RatFrac(n, self.chi).to_str() for n in row]
                 for row in self.numerators]
 
     @cached_property
@@ -288,23 +287,22 @@ def picard_fuchs(p: Poly) -> ConnectionMatrix:
                             critical_values=tuple(_critical_values(fr)))
 
 
-def pf_residual(conn: ConnectionMatrix, ts: Sequence[complex],
-                h: float = 1e-2, pair: int | None = None,
-                rel_tol: float = PERIOD_REL_TOL) -> float:
+def pf_residual(conn: ConnectionMatrix, ts: Sequence[complex]) -> float:
     """Worst relative defect of d/dt(periods) = matrix @ periods.
 
     The derivative is a 4th-order central difference of numeric periods
-    along a continuously tracked contour.
+    along a continuously tracked contour around the best-cleared pair.
     """
     coeffs = _descending_coeffs(conn.p)
+    h = 1e-2
     worst = 0.0
     for t in ts:
         t = complex(t)
-        ref, k = _fiber_roots(coeffs, t, pair)
+        ref, k = _fiber_roots(coeffs, t, None)
         stencil = {}
         for step in (-2, -1, 0, 1, 2):
             stencil[step] = basis_periods(conn.p, t + step * h, pair=k,
-                                          rel_tol=rel_tol, ref_roots=ref)
+                                          ref_roots=ref)
         fd = (stencil[-2] - 8 * stencil[-1] + 8 * stencil[1] - stencil[2]) \
             / (12.0 * h)
         mv = conn.evaluate(t) @ stencil[0]
@@ -315,8 +313,7 @@ def pf_residual(conn: ConnectionMatrix, ts: Sequence[complex],
 
 # ---- Gelfand-Leray on real ovals ---------------------------------------------
 
-def _eta_integral(cycle: CycleApprox, g_fn, fx_fn, fy_fn,
-                  rel_tol: float) -> float:
+def _eta_integral(cycle: CycleApprox, g_fn, fx_fn, fy_fn) -> float:
     """Integral of the quotient form ``d omega / df`` over a traced oval.
 
     Pointwise the larger of |f_x|, |f_y| picks the patch: the two
@@ -340,22 +337,19 @@ def _eta_integral(cycle: CycleApprox, g_fn, fx_fn, fy_fn,
         return float(np.sum(contrib))
 
     return node_doubling(
-        at, rel_tol,
+        at, GL_REL_TOL,
         f"quotient-form quadrature did not stabilize within {N_MAX} nodes")
 
 
 def gelfand_leray_check(f: Poly, omega: DifferentialForm,
                         levels: Sequence[float],
-                        center: Sequence[float] | None = None,
-                        h: float = 1e-3,
-                        rel_tol: float = 1e-10,
-                        zero_floor: float = 1e-8) -> float:
+                        center: Sequence[float] | None = None) -> float:
     """Max relative error of d/dt (period of omega) = period of d omega/df.
 
     Cycles are the real ovals of the Hamiltonian level family through the
     given (or census-detected) center; the left side is a 4th-order
     finite difference across neighboring levels.  Levels where both sides
-    sit below ``zero_floor`` count as exact (an exact omega makes both
+    sit below 1e-8 count as exact (an exact omega makes both
     sides zero, where a relative comparison has no meaning).
     """
     record = hamiltonian(f)
@@ -367,16 +361,17 @@ def gelfand_leray_check(f: Poly, omega: DifferentialForm,
     fy_fn = f.diff(1).compiled()
 
     def period(t: float) -> float:
-        return -m1_on_cycle(prob, cycle_at(prob, t), rel_tol=rel_tol)
+        return -m1_on_cycle(prob, cycle_at(prob, t), rel_tol=GL_REL_TOL)
 
+    h = 1e-3
     worst = 0.0
     for t in levels:
         t = float(t)
         fd = (period(t - 2 * h) - 8 * period(t - h)
               + 8 * period(t + h) - period(t + 2 * h)) / (12.0 * h)
-        rhs = _eta_integral(cycle_at(prob, t), g_fn, fx_fn, fy_fn, rel_tol)
+        rhs = _eta_integral(cycle_at(prob, t), g_fn, fx_fn, fy_fn)
         den = max(abs(fd), abs(rhs))
-        if den < zero_floor:
+        if den < 1e-8:
             continue
         worst = max(worst, abs(fd - rhs) / den)
     return worst
@@ -399,23 +394,17 @@ class BrieskornBasis:
     labels: tuple[str, ...]
 
 
-def brieskorn_basis(m: int, variables: Sequence[str] = ("x", "y")) -> BrieskornBasis:
+def brieskorn_basis(m: int) -> BrieskornBasis:
     if not isinstance(m, int) or m < 2:
         raise InputError("the family y^2 - x^m needs an integer m >= 2")
-    vs = tuple(variables)
-    if len(vs) != 2:
-        raise InputError("the Brieskorn family lives in two variables")
+    vs = ("x", "y")
     f = Poly(vs, {(0, 2): 1, (m, 0): -1})
     forms = tuple(
         DifferentialForm(vs, 1, {(0,): Poly(vs, {(a, 1): 1})})
         for a in range(m - 1)
     )
-    labels = tuple(
-        (f"{vs[1]}*d{vs[0]}" if a == 0 else
-         f"{vs[0]}^{a}*{vs[1]}*d{vs[0]}" if a > 1 else
-         f"{vs[0]}*{vs[1]}*d{vs[0]}")
-        for a in range(m - 1)
-    )
+    labels = tuple("y*dx" if a == 0 else "x*y*dx" if a == 1 else f"x^{a}*y*dx"
+                   for a in range(m - 1))
     return BrieskornBasis(m=m, f=f, forms=forms, labels=labels)
 
 

@@ -129,14 +129,14 @@ def _logarithmic_fns(record: FoliationRecord):
 
 
 def _consistency_check(record: FoliationRecord, f_fn, s_fn,
-                       center: np.ndarray, seed: int = 20260819):
+                       center: np.ndarray):
     """Verify omega = s df numerically at 20 points with all factors positive."""
     spec = record.log_spec
     fs = [f.compiled() for f in spec.factors]
     dfs = [(f.diff(0).compiled(), f.diff(1).compiled()) for f in spec.factors]
     lams = [float(l.re) for l in spec.residues]
     pf, qf = record.field_callables()
-    rng = random.Random(seed)
+    rng = random.Random(20260819)
     radius = 0.5 * (1.0 + float(np.hypot(center[0], center[1])))
     checked = 0
     for _ in range(4000):
@@ -166,15 +166,14 @@ def _consistency_check(record: FoliationRecord, f_fn, s_fn,
 
 
 def make_problem(record: FoliationRecord, omega1: DifferentialForm,
-                 center: Sequence[float] | None = None,
-                 direction: Sequence[float] = (1.0, 0.0),
-                 s_hi: float | None = None) -> MelnikovProblem:
+                 center: Sequence[float] | None = None) -> MelnikovProblem:
     """Assemble the (f, s, omega1, section) data for Melnikov integrals.
 
     The record must be hamiltonian or logarithmic with real residues;
     those are the families that declare ``omega = s df``.  When no
     center is passed, the first real center candidate of the record is
-    used.  The section is the ray from the center along ``direction``.
+    used.  The section is the ray from the center in the +x direction,
+    up to ``s = 2 (1 + |center|)``.
     """
     _check_perturbation(record, omega1)
     if not record.is_real():
@@ -210,9 +209,8 @@ def make_problem(record: FoliationRecord, omega1: DifferentialForm,
 
     scale = 1.0 + float(np.hypot(c[0], c[1]))
     section = Transversal(
-        base=c, direction=np.asarray(direction, dtype=float),
-        s_lo=1e-9 * scale,
-        s_hi=s_hi if s_hi is not None else 2.0 * scale,
+        base=c, direction=np.array([1.0, 0.0]),
+        s_lo=1e-9 * scale, s_hi=2.0 * scale,
     )
     lvl = float(f_fn(c[0], c[1]))
     if not math.isfinite(lvl):
@@ -223,8 +221,7 @@ def make_problem(record: FoliationRecord, omega1: DifferentialForm,
     )
 
 
-def cycle_at(problem: MelnikovProblem, t: float,
-             num_points: int = 1024) -> CycleApprox:
+def cycle_at(problem: MelnikovProblem, t: float) -> CycleApprox:
     """Trace the vanishing-cycle continuation at level t off the section."""
     sec = problem.section
     f_fn = problem.f_fn
@@ -270,7 +267,7 @@ def cycle_at(problem: MelnikovProblem, t: float,
         from scipy.optimize import brentq
         s_star = brentq(g, bracket[0], bracket[1], xtol=1e-15, rtol=8.9e-16)
     seed = sec.point_at(s_star)
-    cycle = trace_cycle(problem.record, seed, num_points=num_points)
+    cycle = trace_cycle(problem.record, seed)
     # level invariant along the polyline, in the problem's parameter
     sub = cycle.points[:: max(1, len(cycle.points) // 64)]
     lv = problem.f_fn(sub[:, 0], sub[:, 1])
@@ -329,8 +326,7 @@ def m1(problem: MelnikovProblem, t: float, rel_tol: float = REL_TOL) -> float:
 
 
 def m1_sweep(problem: MelnikovProblem, grid: Sequence[float],
-             rel_tol: float = REL_TOL,
-             zero_threshold: float = ZERO_THRESHOLD) -> MelnikovSamples:
+             rel_tol: float = REL_TOL) -> MelnikovSamples:
     """M1 over a level grid plus a multiplicity estimate at the center.
 
     The multiplicity is the slope of log|M1| against log|t - t_center|
@@ -343,14 +339,14 @@ def m1_sweep(problem: MelnikovProblem, grid: Sequence[float],
         raise InputError("the level grid must be strictly increasing")
     values = [m1(problem, t, rel_tol=rel_tol) for t in grid]
 
-    if all(abs(v) < zero_threshold for v in values):
+    if all(abs(v) < ZERO_THRESHOLD for v in values):
         return MelnikovSamples(grid=grid, values=values, multiplicity=None,
                                fit_residual=None, identically_zero=True,
                                center_level=problem.center_level)
 
     tc = problem.center_level
     pairs = [(abs(t - tc), abs(v)) for t, v in zip(grid, values)
-             if abs(v) >= zero_threshold and abs(t - tc) > 0.0]
+             if abs(v) >= ZERO_THRESHOLD and abs(t - tc) > 0.0]
     if len(pairs) < 4:
         raise NumericError(
             f"only {len(pairs)} usable samples for the multiplicity fit; need 4"
@@ -372,15 +368,14 @@ def m1_sweep(problem: MelnikovProblem, grid: Sequence[float],
     )
 
 
-def tangency_test(problem: MelnikovProblem, grid: Sequence[float],
-                  threshold: float | None = None,
-                  rel_tol: float = REL_TOL) -> TangencyVerdict:
+def tangency_test(problem: MelnikovProblem,
+                  grid: Sequence[float]) -> TangencyVerdict:
     """First-order center compatibility: does M1 vanish on the grid?
 
     This realizes the necessary condition for the deformation to be
     tangent to the center locus (no sufficiency claim): compatible iff
-    max |M1| stays below the threshold, which defaults to 1e-8 times the
-    largest cycle length encountered.
+    max |M1| stays below the threshold, 1e-8 times the largest cycle
+    length encountered.
     """
     grid = [float(t) for t in grid]
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -391,9 +386,8 @@ def tangency_test(problem: MelnikovProblem, grid: Sequence[float],
         cycle = cycle_at(problem, t)
         seg = np.hypot(*np.diff(cycle.points, axis=0).T)
         max_len = max(max_len, float(np.sum(seg)))
-        values.append(m1_on_cycle(problem, cycle, rel_tol=rel_tol))
-    if threshold is None:
-        threshold = 1e-8 * max_len
+        values.append(m1_on_cycle(problem, cycle))
+    threshold = 1e-8 * max_len
     max_abs = max(abs(v) for v in values)
     return TangencyVerdict(max_abs=max_abs, threshold=threshold,
                            compatible=max_abs <= threshold, values=values)

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .poly import Poly
+from .poly import Poly, _gaussian_det
 from .ratfunc import UPoly, fiber_adjugate, upoly_gcd
 
 TRACK_ANGLES = (0.0, math.pi / 7.0, math.pi / 3.0)
@@ -62,25 +62,6 @@ def _identity(n: int) -> list[list[int]]:
 
 def _mat_vec(a, v):
     return [sum(r[k] * v[k] for k in range(len(v))) for r in a]
-
-def _int_det(m) -> int:
-    a = [list(r) for r in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 def hermite_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Row-style Hermite form of the lattice the rows generate."""
@@ -615,7 +596,7 @@ def _generator_for(model: FibrationModel, j: int,
         )
     mat = tuple(tuple(r) for r in tracker.matrix)
     delta = _primitive_delta(tracker.matrix, model.lattice.intersection)
-    if _int_det(tracker.matrix) != 1:
+    if _gaussian_det([[(v, 0) for v in r] for r in tracker.matrix]) != (1, 0):
         raise NumericError("monodromy operator has determinant != 1")
     return MonodromyOperator(index=j,
                              critical_value=model.critical_values[j],

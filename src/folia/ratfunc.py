@@ -24,7 +24,8 @@ from .poly import join_terms
 
 
 class UPoly:
-    """Dense univariate polynomial over Q, coefficients ascending."""
+    """Dense univariate polynomial over Q, coefficients ascending,
+    printed in the variable t."""
 
     __slots__ = ("coeffs",)
 
@@ -134,9 +135,9 @@ class UPoly:
     def diff(self) -> "UPoly":
         return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def to_str(self, var: str = "t") -> str:
+    def to_str(self) -> str:
         return join_terms(
-            (c < 0, abs(c), "" if i == 0 else var if i == 1 else f"{var}^{i}")
+            (c < 0, abs(c), "" if i == 0 else "t" if i == 1 else f"t^{i}")
             for i, c in reversed(list(enumerate(self.coeffs))) if c)
 
     def __repr__(self):
@@ -154,11 +155,7 @@ class RatFrac:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: UPoly, den: UPoly | None = None):
-        if not isinstance(num, UPoly):
-            num = UPoly.constant(num)
-        if den is None:
-            den = UPoly.one()
+    def __init__(self, num: UPoly, den: UPoly):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in Q(t)")
         if num.is_zero:
@@ -174,11 +171,11 @@ class RatFrac:
             den = UPoly([c / l for c in den.coeffs])
         self.num, self.den = num, den
 
-    def to_str(self, var: str = "t") -> str:
-        ns = self.num.to_str(var)
+    def to_str(self) -> str:
+        ns = self.num.to_str()
         if self.den == UPoly.one():
             return ns
-        return f"({ns})/({self.den.to_str(var)})"
+        return f"({ns})/({self.den.to_str()})"
 
     def __repr__(self):
         return f"RatFrac({self.to_str()!r})"

@@ -15,6 +15,8 @@ from folia.flow import (
     section_at,
     trace_cycle,
 )
+from folia.forms import DifferentialForm
+from folia.melnikov import perturbed_record
 
 VS = ("x", "y")
 
@@ -127,6 +129,17 @@ def test_holonomy_rejects_large_deformation():
     c = trace_cycle(CIRCLE, (1.0, 0.0))
     with pytest.raises(NumericError):
         holonomy(pert, c)
+
+
+def test_holonomy_tube_is_a_fifth_of_the_cycle_diameter():
+    # omega1 = dx moves the center to (-eps, 0) and the leaf through
+    # (1, 0) strays about 2 eps from the unit circle; the tube radius is
+    # 0.2 times the bounding-box diagonal 2 sqrt(2), about 0.566
+    c = trace_cycle(CIRCLE, (1.0, 0.0))
+    dx = DifferentialForm.one_form([P("1"), P("0")])
+    holonomy(perturbed_record(CIRCLE, dx, 0.25), c)
+    with pytest.raises(NumericError, match="trajectory strayed"):
+        holonomy(perturbed_record(CIRCLE, dx, 0.3), c)
 
 
 def test_center_test_on_true_center():

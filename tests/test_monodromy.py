@@ -24,7 +24,7 @@ from folia.monodromy import (
     orbit_span,
     twist_matrix,
 )
-from folia.poly import GaussianRational, Poly
+from folia.poly import GaussianRational, Poly, _gaussian_det
 
 X = ("x",)
 GOLDEN = Path(__file__).parent / "data" / "monodromy_golden.json"
@@ -306,6 +306,31 @@ def test_orbit_span_rejects_zero_start():
     ops = monodromy_generators(m)
     with pytest.raises(InputError):
         orbit_span(m, ops, (0, 0))
+
+
+def test_integer_bareiss_agrees_with_the_fraction_oracle():
+    # the operator determinant check runs the Gaussian-integer Bareiss of
+    # the resultant kernel on (v, 0) pairs; criterion 5 keeps its own
+    # Fraction elimination as the oracle
+    rng = random.Random(1301)
+    mats = [[[0, 1], [1, 0]]]
+    for n in range(2, 8):
+        for _ in range(6):
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(4 * n):
+                i, j = rng.sample(range(n), 2)
+                if rng.random() < 0.25:
+                    m[i], m[j] = m[j], m[i]
+                else:
+                    k = rng.choice([-3, -2, -1, 1, 2, 3])
+                    m[j] = [a + k * b for a, b in zip(m[j], m[i])]
+            mats.append(m)
+    assert any(m[0][0] == 0 for m in mats[1:])
+    for m in mats:
+        want = _det_int(m)
+        assert want in (1, -1)
+        assert _gaussian_det([[(v, 0) for v in r] for r in m]) == (want, 0)
+    assert _gaussian_det([[(0, 0), (1, 0)], [(1, 0), (0, 0)]]) == (-1, 0)
 
 
 # ---- randomized genericity ----------------------------------------------------

@@ -56,6 +56,8 @@ COMMANDS = ("sing", "classify", "log", "dulac", "pullback", "integrability",
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
 
+MAX_SAMPLES = 4096  # largest melnikov --samples; the grid is built in memory
+
 # each tolerance field of RunConfig and the commands whose flags set it
 _TOLERANCES = {
     "root_residual_tol": ("sing",),
@@ -150,6 +152,8 @@ def _variables_flag(text: str) -> tuple[str, ...]:
 
 
 def _linspace(t0: float, t1: float, n: int) -> tuple[float, ...]:
+    if n > MAX_SAMPLES:
+        raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {n}")
     if n < 2:
         raise InputError("need at least 2 samples")
     step = (t1 - t0) / (n - 1)

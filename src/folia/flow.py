@@ -1,8 +1,9 @@
 """Numeric leaf tracing: cycles, sections, holonomy, center tests.
 
-All integration runs DOP853 at tight tolerances (rtol 1e-11, atol 1e-13)
-with three event functions: the section crossing that ends a run, a
-speed floor that aborts near singular points, and an escape radius.
+All integration runs DOP853 (``folia.ode``) at tight tolerances (rtol
+1e-11, atol 1e-13) with three terminal event functions: the section
+crossing that ends a run, a speed floor that aborts near singular
+points, and an escape radius.
 Event zeros at the start point are avoided with a short pre-flight
 integration before the monitored run begins.
 
@@ -15,7 +16,6 @@ not to the underlying trajectory, so the dense solution stays usable.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .foliation import FoliationRecord, residual_scale
+from .ode import brentq, solve_ivp
 from .poly import Poly
 
 RTOL = 1e-11
@@ -34,16 +35,6 @@ SPEED_FLOOR = 1e-9
 PREFLIGHT = 1e-7
 NUM_POINTS = 1024     # polyline vertices of a traced cycle
 TUBE_FACTOR = 0.2     # holonomy tube radius, as a fraction of the cycle diameter
-_self = sys.modules[__name__]  # a bare global read never reaches __getattr__
-
-
-def __getattr__(name):
-    # import scipy.integrate (about 0.5 s) on first use, not at module load
-    if name != "solve_ivp":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import solve_ivp
-    globals()[name] = solve_ivp
-    return solve_ivp
 
 
 @dataclass
@@ -143,20 +134,17 @@ def _integrate_to_section(rhs: Callable, z0: np.ndarray, section: Transversal,
     def ev_section(t, z):
         return (z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1]
 
-    ev_section.terminal = True
     ev_section.direction = float(dir_sign)
 
     def ev_speed(t, z):
         vx, vy = rhs(t, z)
         return vx * vx + vy * vy - v_floor * v_floor
 
-    ev_speed.terminal = True
     ev_speed.direction = -1.0
 
     def ev_escape(t, z):
         return z[0] * z[0] + z[1] * z[1] - escape * escape
 
-    ev_escape.terminal = True
     ev_escape.direction = 1.0
 
     chunk = 50.0 * scale / speed0
@@ -173,18 +161,16 @@ def _integrate_to_section(rhs: Callable, z0: np.ndarray, section: Transversal,
         if vz <= v_floor:
             raise NumericError("leaf ran into a singular point")
         h = PREFLIGHT * scale / vz
-        pre = _self.solve_ivp(rhs, (0.0, h), z, method="DOP853",
-                              rtol=rtol, atol=atol, dense_output=True)
+        pre = solve_ivp(rhs, (0.0, h), z, rtol=rtol, atol=atol)
         if not pre.success:
             raise NumericError(f"integrator failed during pre-flight: {pre.message}")
         pieces.append((t_global, t_global + h, pre.sol))
         t_global += h
         z = pre.y[:, -1]
 
-        sol = _self.solve_ivp(rhs, (0.0, chunk), z, method="DOP853",
-                              rtol=rtol, atol=atol, dense_output=True,
-                              max_step=max_step,
-                              events=[ev_section, ev_speed, ev_escape])
+        sol = solve_ivp(rhs, (0.0, chunk), z, rtol=rtol, atol=atol,
+                        max_step=max_step,
+                        events=[ev_section, ev_speed, ev_escape])
         if not sol.success and sol.status != 1:
             raise NumericError(f"integrator failed: {sol.message}")
         t_end = sol.t[-1]
@@ -387,7 +373,6 @@ def cycle_through_level(record: FoliationRecord, center: Sequence[float],
             f"could not bracket level {float(level)} along the ray from "
             f"({float(p[0])}, {float(p[1])})"
         )
-    from scipy.optimize import brentq
     s_star = brentq(g, s_lo, s_hi, xtol=1e-14, rtol=8.9e-16)
     return trace_cycle(record, p + s_star * u)
 

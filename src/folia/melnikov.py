@@ -26,6 +26,7 @@ from .errors import InputError, NumericError
 from .flow import CycleApprox, Transversal, trace_cycle
 from .foliation import FoliationRecord, count_centers
 from .forms import DifferentialForm
+from .ode import brentq
 from .poly import Poly
 
 N_START = 64
@@ -264,7 +265,6 @@ def cycle_at(problem: MelnikovProblem, t: float) -> CycleApprox:
                 f"level {t} is not reached on the section "
                 f"(window up to s = {sec.s_hi})"
             )
-        from scipy.optimize import brentq
         s_star = brentq(g, bracket[0], bracket[1], xtol=1e-15, rtol=8.9e-16)
     seed = sec.point_at(s_star)
     cycle = trace_cycle(problem.record, seed)

@@ -383,6 +383,23 @@ def test_parse_budget_refuses_huge_powers_quickly():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_melnikov_samples_are_bounded(monkeypatch, capsys, circle_file,
+                                      rot_file):
+    argv = ["melnikov", "--base", circle_file, "--pert", rot_file,
+            "--t0", "0.1", "--t1", "1", "--samples", str(10**12)]
+    monkeypatch.setattr(sys, "argv", ["folia", *argv])
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    assert time.perf_counter() - t0 < 1.0
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["exit_code"] == 2
+    assert "--samples" in doc["error"] and str(cli.MAX_SAMPLES) in doc["error"]
+
+
 def test_main_maps_unexpected_exceptions_to_exit_3(monkeypatch, capsys):
     def boom(args, cfg):
         raise RuntimeError("unexpected")
@@ -460,20 +477,18 @@ def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 
 assert not scipy_modules(), "importing folia loaded scipy"
-*algebraic, holonomy = json.loads(sys.argv[1])
-for argv in algebraic:
-    with contextlib.redirect_stdout(io.StringIO()):
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert cli.run(argv) == 0, argv
     assert not scipy_modules(), argv[0] + " loaded scipy"
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    assert cli.run(holonomy) == 0
-assert scipy_modules(), "holonomy ran without scipy"
-print(out.getvalue(), end="")
+    if argv[0] in ("holonomy", "melnikov"):
+        print(out.getvalue(), end="")
 """
 
 
-def test_algebraic_commands_never_load_scipy(capsys, tmp_path, circle_file):
+def test_computing_commands_never_load_scipy(capsys, tmp_path, circle_file,
+                                             rot_file):
     files = {
         "w.json": '{"kind": "form", "variables": ["x", "y"],'
                   ' "coefficients": ["x^3*y", "0"]}',
@@ -488,6 +503,8 @@ def test_algebraic_commands_never_load_scipy(capsys, tmp_path, circle_file):
         (tmp_path / name).write_text(text)
     f = {name: str(tmp_path / name) for name in (*files, "tri.json")}
     holonomy = ["holonomy", "--form", circle_file, "--t", "0.25", "--t", "0.5"]
+    melnikov = ["melnikov", "--base", circle_file, "--pert", rot_file,
+                "--t0", "0.1", "--t1", "1", "--samples", "9"]
     argvs = [
         ["picard-fuchs", "--p", "x^3 - 3*x"],
         ["brieskorn", "--m", "3", "--omega", f["w.json"]],
@@ -503,11 +520,16 @@ def test_algebraic_commands_never_load_scipy(capsys, tmp_path, circle_file):
          "--out", f["tri.json"]],
         ["classify", "--form", f["tri.json"], "--x", "1/3", "--y", "1/3"],
         holonomy,
+        melnikov,
     ]
+    # every computing command is probed; only selftest may load scipy
+    _, parsers = cli._build_parsers()
+    assert {argv[0] for argv in argvs} == set(parsers) - {"selftest"}
     r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
                        capture_output=True, text=True, timeout=600)
     assert r.returncode == 0, r.stderr
     assert cli.run(holonomy) == 0
+    assert cli.run(melnikov) == 0
     assert r.stdout == capsys.readouterr().out
 
 

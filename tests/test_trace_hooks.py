@@ -5,9 +5,10 @@
 every traced benchmark run.  This test reads the tracer's own list of
 hooks, so a change that moves a hooked name fails here first.
 
-``folia.flow.solve_ivp`` and ``folia.monodromy.linear_sum_assignment``
-are imported from scipy on first access (a module ``__getattr__``), so
-resolving them here may import scipy.
+``folia.flow.solve_ivp`` is folia's own DOP853 (``folia.ode``) and
+never imports scipy.  ``folia.monodromy.linear_sum_assignment`` is
+imported from scipy on first access (a module ``__getattr__``), so
+resolving it here may import scipy.
 """
 
 import importlib
@@ -66,28 +67,34 @@ _LAZY_PROBE = """
 import importlib.util, sys
 import numpy as np
 import folia
+import folia.ode
 from folia import flow, monodromy
 
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
 assert not scipy_loaded()
+assert flow.solve_ivp is folia.ode.solve_ivp
 spec = importlib.util.spec_from_file_location("_perfbench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 rec = tracing.Recorder()
-rec.install(0)
+rec.install(0)  # resolving monodromy.linear_sum_assignment imports scipy
 try:
+    loaded = set(sys.modules)
     circle = folia.parse_poly("1/2*x^2 + 1/2*y^2", ("x", "y"))
     flow.trace_cycle(folia.hamiltonian(circle), (1.0, 0.0))
+    new = [m for m in set(sys.modules) - loaded if m.startswith("scipy")]
+    assert not new, "trace_cycle loaded " + ", ".join(sorted(new))
     monodromy._match_roots(np.array([0j, 1j]), np.array([1j, 0j]))
 finally:
     rec.uninstall()
 counts = rec.pass_summary(0)["counts"]
 assert counts["flow.solve_ivp_calls"] >= 1, counts
+assert counts["flow.solve_ivp_nfev"] > counts["flow.solve_ivp_calls"], counts
 assert counts["monodromy.assignment_calls"] >= 1, counts
-import scipy.integrate, scipy.optimize
-assert flow.solve_ivp is scipy.integrate.solve_ivp
+import scipy.optimize
+assert flow.solve_ivp is folia.ode.solve_ivp
 assert monodromy.linear_sum_assignment is scipy.optimize.linear_sum_assignment
 assert getattr(flow, "no_such_name", None) is None
 """

@@ -32,6 +32,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from .gaussmanin import brieskorn_basis, brieskorn_reduce, picard_fuchs
 from .melnikov import REL_TOL, ZERO_THRESHOLD, m1, m1_sweep, make_problem
 from .monodromy import (build_model, cycle_at_infinity, monodromy_generators,
                         orbit_span)
+from .ode import MIN_RTOL
 from .poly import parse_poly
 
 COMMANDS = ("sing", "classify", "log", "dulac", "pullback", "integrability",
@@ -94,6 +96,9 @@ class RunConfig:
             if not (isinstance(v, (int, float)) and 0.0 < v < math.inf):
                 raise InputError(
                     f"{name} must be a positive finite number, got {v!r}")
+        if self.holonomy_rtol < MIN_RTOL:
+            raise InputError(f"holonomy_rtol must be at least {MIN_RTOL!r} "
+                             f"(100 machine epsilons), got {self.holonomy_rtol!r}")
         if self.output_format not in ("json", "csv"):
             raise InputError(
                 f"output format must be 'json' or 'csv', got {self.output_format!r}"
@@ -611,7 +616,9 @@ def run(argv) -> int:
 
 def main() -> None:
     try:
-        code = run(sys.argv[1:])
+        with warnings.catch_warnings():   # stderr carries the one JSON line only
+            warnings.simplefilter("ignore")
+            code = run(sys.argv[1:])
     except Exception as e:  # the contract: one JSON line, never a traceback
         if isinstance(e, FoliaError):
             code, message = (2 if isinstance(e, InputError) else 3), str(e)

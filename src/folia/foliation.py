@@ -71,6 +71,11 @@ class FoliationRecord:
     dulac: DulacData | None = None
     # _scale_factors of P and Q, for residual_scale
     scale_factors: tuple = field(init=False, repr=False, compare=False)
+    # the Jacobian of (P, Q), for Newton polish and classification
+    P_x: Poly = field(init=False, repr=False, compare=False)
+    P_y: Poly = field(init=False, repr=False, compare=False)
+    Q_x: Poly = field(init=False, repr=False, compare=False)
+    Q_y: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.P.vars != self.Q.vars:
@@ -80,6 +85,8 @@ class FoliationRecord:
         if self.P.is_zero and self.Q.is_zero:
             raise InputError("P and Q cannot both vanish identically")
         self.scale_factors = (_scale_factors(self.P), _scale_factors(self.Q))
+        self.P_x, self.P_y = self.P.diff(0), self.P.diff(1)
+        self.Q_x, self.Q_y = self.Q.diff(0), self.Q.diff(1)
 
     @property
     def vars(self) -> tuple[str, str]:
@@ -330,15 +337,14 @@ def _roots_of_poly_in(p: Poly, var_index: int) -> np.ndarray:
     return np.roots(arr)
 
 
-def _univariate_roots_at(p: Poly, var_index: int, value: complex) -> np.ndarray | None:
-    """Roots in the other variable after freezing ``var_index`` = value.
+def _y_roots_at(y_coeffs, x0: complex) -> np.ndarray | None:
+    """Roots in y of a polynomial at x = x0, given the evaluators of its
+    coefficients in y (ascending degree).
 
     Returns None when the frozen polynomial is numerically degenerate
     (all coefficients tiny, or no dependence left).
     """
-    coeffs = p.univariate_in(1 - var_index)
-    pt = (value, 0.0) if var_index == 0 else (0.0, value)
-    vals = [complex(c(*pt)) for c in coeffs]
+    vals = [complex(c(x0, 0.0)) for c in y_coeffs]
     if not vals:
         return None
     top = max(abs(v) for v in vals)
@@ -403,9 +409,10 @@ def find_singularities(record: FoliationRecord) -> list[SingularPoint]:
     if xroots.size == 0:
         return []
 
-    pf, qf = p.compiled(), q.compiled()
-    fns = (pf, qf, p.diff(0).compiled(), p.diff(1).compiled(),
-           q.diff(0).compiled(), q.diff(1).compiled())
+    fns = (p.compiled(), q.compiled(), record.P_x.compiled(),
+           record.P_y.compiled(), record.Q_x.compiled(), record.Q_y.compiled())
+    p_in_y = [c.compiled() for c in p.univariate_in(1)]
+    q_in_y = [c.compiled() for c in q.univariate_in(1)]
 
     candidates = []
     for x0 in xroots:
@@ -413,8 +420,8 @@ def find_singularities(record: FoliationRecord) -> list[SingularPoint]:
         # in y without its coefficients vanishing exactly, which would
         # poison a single-source candidate list; take the union instead
         # and let the residual test discard the spurious ones
-        yc_p = _univariate_roots_at(p, 0, x0)
-        yc_q = _univariate_roots_at(q, 0, x0)
+        yc_p = _y_roots_at(p_in_y, x0)
+        yc_q = _y_roots_at(q_in_y, x0)
         if yc_p is None and yc_q is None:
             raise NumericError(
                 f"could not isolate y-candidates over x = {x0}; "
@@ -465,7 +472,6 @@ def classify_singularity(record: FoliationRecord,
     if band <= 0.0:
         raise InputError("the eigenvalue-ratio band must be positive")
     x, y = complex(point[0]), complex(point[1])
-    p, q = record.P, record.Q
     pf, qf = record.field_callables()
     res = abs(pf(x, y)) + abs(qf(x, y))
     if res > SINGULAR_PRECHECK * residual_scale(record, x, y):
@@ -473,8 +479,8 @@ def classify_singularity(record: FoliationRecord,
             f"({x}, {y}) is not a singular point (residual {res:.3e})"
         )
     jac = np.array(
-        [[p.diff(0)(x, y), p.diff(1)(x, y)],
-         [q.diff(0)(x, y), q.diff(1)(x, y)]], dtype=complex,
+        [[record.P_x(x, y), record.P_y(x, y)],
+         [record.Q_x(x, y), record.Q_y(x, y)]], dtype=complex,
     )
     notes: list[str] = []
     vanishing: list[int] = []

@@ -54,6 +54,7 @@ from types import SimpleNamespace
 import numpy as np
 
 EPS = np.finfo(float).eps
+MIN_RTOL = float(100 * EPS)   # a smaller rtol is raised to this, with a warning
 SAFETY = 0.9        # applied to the asymptotic step-size factor
 MIN_FACTOR = 0.2    # largest decrease of the step size
 MAX_FACTOR = 10     # largest increase of the step size
@@ -173,8 +174,20 @@ def _norm(x):
     return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _interpolate(x, F, y_old):
+    """The dense output at step fraction ``x``: ``y_old`` plus the seven
+    rows ``F[..., k, :]`` nested in powers of x and 1 - x, last row first.
+    Elementwise, so one step or many stacked steps give the same doubles."""
+    y = np.zeros_like(y_old)
+    for k in range(6, -1, -1):
+        y += F[..., k, :]
+        y *= x if k % 2 == 0 else 1 - x
+    y += y_old
+    return y
+
+
 class _Dense:
-    """The interpolant of one accepted step, in powers of x and 1 - x."""
+    """The interpolant of one accepted step, at one time."""
 
     __slots__ = ("t_old", "h", "F", "y_old")
 
@@ -182,21 +195,7 @@ class _Dense:
         self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
 
     def __call__(self, t):
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
+        return _interpolate((np.asarray(t) - self.t_old) / self.h, self.F, self.y_old)
 
 
 class OdeSolution:
@@ -204,17 +203,21 @@ class OdeSolution:
 
     def __init__(self, ts, interpolants):
         self.ts, self.interpolants = ts, interpolants
+        self._stacked = None
 
     def __call__(self, t):
         """Values at a 1-D array of times, one column per time."""
+        if self._stacked is None:
+            steps = self.interpolants
+            self._stacked = (np.array([s.t_old for s in steps]),
+                             np.array([s.h for s in steps]),
+                             np.stack([s.F for s in steps]),
+                             np.stack([s.y_old for s in steps]))
+        t_old, h, F, y_old = self._stacked
         t = np.asarray(t)
-        seg = np.searchsorted(self.ts, t, side="left") - 1
-        seg = np.clip(seg, 0, len(self.interpolants) - 1)
-        out = np.empty((self.interpolants[0].y_old.size, t.size))
-        for k in np.unique(seg):
-            mask = seg == k
-            out[:, mask] = self.interpolants[k](t[mask])
-        return out
+        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, h.size - 1)
+        x = ((t - t_old[seg]) / h[seg])[:, None]
+        return _interpolate(x, F[seg], y_old[seg]).T
 
 
 def _initial_step(fun, t0, y0, f0, interval_length, max_step, rtol, atol):
@@ -253,10 +256,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, events=()):
         raise ValueError("All components of the initial state `y0` must be finite.")
     if max_step <= 0:
         raise ValueError("`max_step` must be positive.")
-    if rtol < 100 * EPS:
+    if rtol < MIN_RTOL:
         warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.")
-        rtol = np.maximum(rtol, 100 * EPS)
+                      f"Setting `rtol = np.maximum(rtol, {MIN_RTOL})`.")
+        rtol = np.maximum(rtol, MIN_RTOL)
     atol = np.asarray(atol)
     if atol < 0:
         raise ValueError("`atol` must be positive.")

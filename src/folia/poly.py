@@ -30,6 +30,7 @@ round-trip through the parser.  Exponents and degrees are capped.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -181,6 +182,44 @@ _ONE = GaussianRational(1)
 
 def _coerce_coeff(v) -> GaussianRational:
     return v if isinstance(v, GaussianRational) else GaussianRational.from_number(v)
+
+
+# terms per generated line: one sum of about 3,000 terms, which a degree-24
+# parse can make, exceeds CPython's recursion limit during compilation
+_SUM_CHUNK = 64
+
+
+@functools.lru_cache(maxsize=1024)
+def _evaluator_factory(nvars: int, support: tuple) -> Callable:
+    """``make(c0, c1, ...)``: returns the numeric evaluator of a polynomial
+    in ``nvars`` variables whose exponent tuples, sorted, are ``support``
+    and whose coefficients, in that order, are ``c0, c1, ...``.
+
+    The generated body is straight-line code, ``0.0 + c0*v0*v1**2 + c1*v0
+    + ...`` summed left to right: term k is ``ck`` times each variable
+    with a nonzero exponent, in variable order, as ``*vi`` for exponent 1
+    and ``*vi**e`` above.  The source holds only the names ``v*`` and
+    ``c*`` and integer exponents; coefficients arrive as arguments.
+    """
+    cs = [f"c{k}" for k in range(len(support))]
+    terms = [c + "".join(f"*v{i}" if e == 1 else f"*v{i}**{int(e)}"
+                         for i, e in enumerate(exps) if e)
+             for c, exps in zip(cs, support)]
+    vs = "".join(f"v{i}, " for i in range(nvars))
+    lines = [f"def make({', '.join(cs)}):",
+             "    def f(*coords):",
+             f"        if len(coords) != {nvars}:",
+             "            raise InputError('point dimension mismatch')"]
+    if nvars:
+        lines.append(f"        {vs}= coords")
+    total = "0.0"
+    for k in range(0, len(terms), _SUM_CHUNK):
+        lines.append("        total = " + " + ".join([total, *terms[k:k + _SUM_CHUNK]]))
+        total = "total"
+    lines += [f"        return {total}", "    return f"]
+    namespace = {"InputError": InputError}
+    exec(compile("\n".join(lines), "<folia.poly evaluator>", "exec"), namespace)
+    return namespace["make"]
 
 
 class Poly:
@@ -442,27 +481,13 @@ class Poly:
         otherwise, so real input yields real output for real data.
         """
         if self._compiled_cache is None:
+            items = sorted(self.terms.items())
             if self.is_real():
-                data = [(float(c.re), e) for e, c in sorted(self.terms.items())]
+                coeffs = [float(c.re) for _, c in items]
             else:
-                data = [(complex(c), e) for e, c in sorted(self.terms.items())]
-            nv = self.nvars
-
-            def f(*coords):
-                if len(coords) != nv:
-                    raise InputError("point dimension mismatch")
-                total = 0.0
-                for c, exps in data:
-                    t = c
-                    for v, e in zip(coords, exps):
-                        if e == 1:
-                            t = t * v
-                        elif e:
-                            t = t * v**e
-                    total = total + t
-                return total
-
-            self._compiled_cache = f
+                coeffs = [complex(c) for _, c in items]
+            make = _evaluator_factory(self.nvars, tuple(e for e, _ in items))
+            self._compiled_cache = make(*coeffs)
         return self._compiled_cache
 
     # ---- univariate views and resultants -------------------------------

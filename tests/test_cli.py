@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from folia import cli
+from folia import cli, ode
 from folia.cli import RunConfig
 from folia.errors import InputError, NumericError
 from folia.poly import parse_poly
@@ -455,6 +455,40 @@ def test_non_finite_flags_exit_2_with_one_json_line(circle_file):
         err_lines = r.stderr.strip().splitlines()
         assert len(err_lines) == 1
         assert json.loads(err_lines[0])["exit_code"] == 2
+
+
+def _one_json_line(stderr):
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    return json.loads(lines[0])
+
+
+def test_numeric_warnings_never_reach_stderr(circle_file):
+    # the integrator overflows on the way to its step-size failure
+    r = _spawn(["holonomy", "--form", circle_file, "--seed-point", "1e200,0"])
+    assert r.returncode == 3 and r.stdout == ""
+    assert _one_json_line(r.stderr)["exit_code"] == 3
+
+
+def test_holonomy_rtol_below_the_integrator_floor_exits_2(circle_file):
+    # the integrator would clamp it, with a warning, and exit 0
+    r = _spawn(["holonomy", "--form", circle_file, "--seed-point", "1,0",
+                "--holonomy-rtol", "1e-16"])
+    assert r.returncode == 2 and r.stdout == ""
+    doc = _one_json_line(r.stderr)
+    assert doc["exit_code"] == 2
+    assert "holonomy_rtol" in doc["error"]
+    assert repr(ode.MIN_RTOL) in doc["error"]
+
+
+def test_holonomy_rtol_at_the_floor_is_accepted(capsys, circle_file):
+    assert 2.3e-14 > ode.MIN_RTOL
+    code, doc = run_json(capsys, ["holonomy", "--form", circle_file,
+                                  "--seed-point", "1,0",
+                                  "--holonomy-rtol", "2.3e-14"])
+    assert code == 0 and abs(doc["defect"]) < 1e-8
+    with pytest.raises(InputError, match="holonomy_rtol"):
+        RunConfig(command="holonomy", grid=(0.5,), holonomy_rtol=2.2e-14)
 
 
 def test_output_bytes_independent_of_thread_env(tmp_path):

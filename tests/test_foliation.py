@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from folia import InputError, Poly, parse_poly
+from folia import InputError, NumericError, Poly, parse_poly, poly
 from folia.foliation import (
     CenterCensus,
     PolyMap,
@@ -160,6 +160,37 @@ def test_classify_complex_residues_do_not_crash():
 
 # ---------------------------------------------------------------------------
 # census
+
+def test_census_builds_each_evaluator_once(monkeypatch):
+    """Evaluators are built once per record, not once per eliminant root,
+    and classification reuses the record's Jacobian."""
+    built, inits = [], []
+    factory, init = poly._evaluator_factory, Poly.__init__
+
+    def counting_factory(*key):
+        built.append(key)
+        return factory(*key)
+
+    def counting_init(self, *args, **kw):
+        inits.append(args)
+        init(self, *args, **kw)
+
+    # ROADMAP defect (a): the census gives up, after the same work
+    rec = logarithmic([P("x^3 + y^3 - 1"), P("x^2 - y"), P("x + y^2 - 5")],
+                      [1, 2, 3])
+    monkeypatch.setattr(poly, "_evaluator_factory", counting_factory)
+    with pytest.raises(NumericError, match="above the Bezout bound 36"):
+        find_singularities(rec)
+    assert len(built) <= 20   # 414 when each x-root rebuilt the y-coefficients
+
+    tri = logarithmic([P("x"), P("y"), P("1 - x - y")], [1, 2, 3])
+    classify_singularity(tri, (0, 0))   # builds the evaluators it needs
+    built.clear()
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    for point in ((1, 0), (0, 1)):
+        classify_singularity(tri, point)
+    assert built == [] and inits == []
+
 
 def test_expected_center_count_table():
     assert expected_center_count([1, 1, 1]) == 1

@@ -41,8 +41,13 @@ def _assert_same(ours, ref):
                                 ref.t_events + ref.y_events, strict=True):
             assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
     if ref.t.size > 1:
-        # interior points, and every step end, where two segments meet
-        ts = np.concatenate([np.linspace(ref.t[0], ref.t[-1], 101), ref.t])
+        # interior points, every step end, where two segments meet, and
+        # times just outside the span, where the first and last segments
+        # extrapolate
+        t0, tf = ref.t[0], ref.t[-1]
+        outside = [t0 - 1e-3 * (tf - t0), np.nextafter(t0, -np.inf),
+                   np.nextafter(tf, np.inf), tf + 1e-3 * (tf - t0)]
+        ts = np.concatenate([np.linspace(t0, tf, 101), ref.t, outside])
         assert np.array_equal(ours.sol(ts), ref.sol(ts))
 
 

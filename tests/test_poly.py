@@ -1,4 +1,5 @@
-"""Exact-algebra tests: parser, printer, ring ops, resultants.
+"""Exact-algebra tests: parser, printer, ring ops, resultants, and the
+numeric evaluators against the term loop they replaced.
 
 The parser oracle is an independent recursive evaluator that interprets
 the expression text directly over Fraction arithmetic, sharing no code
@@ -6,11 +7,13 @@ with the package.
 """
 
 import itertools
+import math
 import random
 import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -471,3 +474,123 @@ def test_variable_mismatch_rejected():
         _ = p + q
     with pytest.raises(InputError):
         Poly(("x", "x"), {})
+
+
+# ---------------------------------------------------------------------------
+# numeric evaluators against the term loop they replaced (oracle)
+
+
+def _loop_evaluator(p):
+    """The term-by-term loop that ``Poly.compiled`` used to run, kept here
+    as the reference for its generated straight-line evaluators."""
+    if p.is_real():
+        data = [(float(c.re), e) for e, c in sorted(p.terms.items())]
+    else:
+        data = [(complex(c), e) for e, c in sorted(p.terms.items())]
+    nv = p.nvars
+
+    def f(*coords):
+        if len(coords) != nv:
+            raise InputError("point dimension mismatch")
+        total = 0.0
+        for c, exps in data:
+            t = c
+            for v, e in zip(coords, exps):
+                if e == 1:
+                    t = t * v
+                elif e:
+                    t = t * v**e
+            total = total + t
+        return total
+    return f
+
+
+def _assert_same_value(got, want):
+    """Same type and the same doubles: ``==`` (``np.array_equal`` and the
+    dtype for arrays), and the same bits, which also tells NaN and signed
+    zeros apart."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want or (got != got and want != want)
+        assert repr(got) == repr(want)
+
+
+def _oracle_points(rng, nv):
+    """Points of every input type the evaluators see, one type per point."""
+    def u():
+        return rng.uniform(-2.0, 2.0)
+    yield tuple(u() for _ in range(nv))
+    yield tuple(rng.randint(-3, 3) for _ in range(nv))
+    yield tuple(complex(u(), u()) for _ in range(nv))
+    yield tuple(np.float64(u()) for _ in range(nv))
+    yield tuple(np.array([u() for _ in range(5)]) for _ in range(nv))
+    yield tuple(np.array([complex(u(), u()) for _ in range(4)]) for _ in range(nv))
+    yield (np.array([u() for _ in range(3)]),) + tuple(u() for _ in range(nv - 1))
+    # an infinite input, where t*v and t*v**1 part ways in complex arithmetic
+    yield tuple(complex(math.inf, 1.0) for _ in range(nv))
+
+
+def _oracle_polys():
+    rng = random.Random("compiled-oracle")
+    for k in range(60):
+        nv = 1 + k % 3
+        vs = ("x", "y", "z")[:nv]
+        terms = {}
+        for _ in range(rng.randint(1, 10)):
+            exps = tuple(rng.choice((0, 0, 1, 1, 2, 3, 7)) for _ in range(nv))
+            re = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            im = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if k % 2 else 0
+            terms[exps] = GaussianRational(re, im)
+        yield Poly(vs, terms)
+    # more terms than one generated line holds
+    yield Poly(("x", "y"), {(i, j): Fraction(i - j, 1 + i + j)
+                            for i in range(60) for j in range(60)})
+    for vs in (("x",), ("x", "y"), ("x", "y", "z")):
+        yield Poly.zero(vs)
+        yield Poly.constant(vs, Fraction(-7, 3))
+        yield Poly.constant(vs, GaussianRational(2, -1))
+
+
+def test_compiled_matches_the_term_loop():
+    rng = random.Random("compiled-oracle-points")
+    n = 0
+    for p in _oracle_polys():
+        fast, ref = p.compiled(), _loop_evaluator(p)
+        for pt in _oracle_points(rng, p.nvars):
+            _assert_same_value(fast(*pt), ref(*pt))
+            n += 1
+    assert n == 70 * 8
+
+
+def test_compiled_keeps_the_summation_order():
+    # 1 + 1e17 rounds to 1e17, so left to right in sorted exponent order
+    # the sum is 0.0; the other way round it would be 1.0
+    p = Poly(("x",), {(0,): 1, (1,): 10**17, (2,): -10**17})
+    assert p.compiled()(1.0) == 0.0
+    _assert_same_value(p(1.0), _loop_evaluator(p)(1.0))
+
+
+def test_same_support_different_coefficients_do_not_share_an_evaluator():
+    vs = ("x", "y")
+    p = parse_poly("3*x^2*y - x + 5", vs)
+    q = parse_poly("-1/2*x^2*y + 7*x - 2", vs)
+    assert sorted(p.terms) == sorted(q.terms)
+    assert p(1.5, 2.0) == 3 * 2.25 * 2.0 - 1.5 + 5
+    assert q(1.5, 2.0) == _loop_evaluator(q)(1.5, 2.0) != p(1.5, 2.0)
+
+
+def test_compiled_source_never_holds_variable_names():
+    hostile = ("__import__('os').system('exit 1')", "x) or (y")
+    p = Poly(hostile, {(2, 1): 3, (0, 1): -1})
+    _assert_same_value(p(2.0, 0.5), _loop_evaluator(p)(2.0, 0.5))
+
+
+def test_compiled_rejects_a_point_of_the_wrong_dimension():
+    for p in (parse_poly("x*y + 1", ("x", "y")), Poly.zero(("x",))):
+        for pt in ((1.0,) * (p.nvars + 1), (1.0,) * (p.nvars - 1)):
+            with pytest.raises(InputError, match="point dimension mismatch"):
+                p.compiled()(*pt)

@@ -9,9 +9,9 @@ timings), so the rendered report is byte-identical between runs.  The
 to the exit code.
 
 Independent work items inside a criterion run through
-:func:`parallel_map`, which maps over them serially and in input order.
-The work is pure Python and holds the interpreter lock, so threads do not
-speed it up.
+``folia.flow.parallel_map``, which maps over them serially and in input
+order.  The work is pure Python and holds the interpreter lock, so
+threads do not speed it up.
 
 ``run_acceptance(rel_tol=...)`` exists as a negative control: it
 replaces the quadrature and integrator tolerances in the holonomy
@@ -26,21 +26,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import flow, melnikov
+# the criteria call library functions through their modules, so that a
+# function swapped in its module (as the benchmark's tracer does) is the
+# one called here, however late this module is imported
+from . import (brieskorn, flow, foliation, formats, forms, gaussmanin,
+               melnikov, monodromy, poly)
 from .errors import FoliaError, InputError
-from .flow import holonomy, trace_cycle
-from .foliation import (count_centers, elementary_log_form, hamiltonian,
-                        integrability_obstruction, logarithmic, pullback_form,
-                        PolyMap)
-from .forms import DifferentialForm, d_poly
-from .formats import fmt_float
-from .gaussmanin import (brieskorn_basis, brieskorn_reduce,
-                         gelfand_leray_check, period_of_form, pf_residual,
-                         picard_fuchs)
-from .melnikov import m1, make_problem, perturbed_record
-from .monodromy import (build_model, cycle_at_infinity, monodromy_generators,
-                        orbit_span)
-from .poly import Poly, parse_poly
+from .flow import parallel_map
+from .foliation import PolyMap
+from .forms import DifferentialForm
+from .poly import Poly
 
 __all__ = [
     "CriterionResult", "AcceptanceReport", "parallel_map",
@@ -51,7 +46,7 @@ XY = ("x", "y")
 
 
 def _p(s: str, vs=XY) -> Poly:
-    return parse_poly(s, vs)
+    return poly.parse_poly(s, vs)
 
 
 def _form(a: str, b: str) -> DifferentialForm:
@@ -59,13 +54,7 @@ def _form(a: str, b: str) -> DifferentialForm:
 
 
 def _f(x: float) -> str:
-    return f"{fmt_float(x):.12g}"
-
-
-def parallel_map(fn, items) -> list:
-    """Map ``fn`` over independent items in the calling thread, results
-    in input order."""
-    return [fn(it) for it in items]
+    return f"{formats.fmt_float(x):.12g}"
 
 
 @dataclass
@@ -133,7 +122,7 @@ def criterion_1_census() -> CriterionResult:
     triples = [_generic_triple(rng) for _ in range(20)]
 
     def census_shape(factors):
-        c = count_centers(logarithmic(factors, [1, 1, 1]))
+        c = foliation.count_centers(foliation.logarithmic(factors, [1, 1, 1]))
         return (c.total, len(c.centers), len(c.intersections), c.expected_centers)
 
     fails = []
@@ -143,11 +132,13 @@ def criterion_1_census() -> CriterionResult:
             fails.append(f"triple {k}: got (total, centers, intersections, "
                          f"expected) = {shape}, want (4, 1, 3, 1)")
 
-    two = count_centers(logarithmic([_p("x"), _p("y")], [1, 1]))
+    two = foliation.count_centers(
+        foliation.logarithmic([_p("x"), _p("y")], [1, 1]))
     if (len(two.centers), two.expected_centers) != (0, 0):
         fails.append(f"degrees (1,1): {len(two.centers)} centers, "
                      f"expected count {two.expected_centers}, want 0 and 0")
-    conic = count_centers(logarithmic([_p("x^2 + y^2 - 1"), _p("x - 3")], [1, 1]))
+    conic = foliation.count_centers(
+        foliation.logarithmic([_p("x^2 + y^2 - 1"), _p("x - 3")], [1, 1]))
     if (len(conic.centers), conic.expected_centers) != (2, 2):
         fails.append(f"degrees (2,1): {len(conic.centers)} centers, "
                      f"expected count {conic.expected_centers}, want 2 and 2")
@@ -163,27 +154,29 @@ def criterion_1_census() -> CriterionResult:
 
 
 CIRCLE_F = "1/2*x^2 + 1/2*y^2"
-M1_GRID = tuple(fmt_float(0.1 * k) for k in range(1, 10))
+M1_GRID = tuple(formats.fmt_float(0.1 * k) for k in range(1, 10))
 
 
 def criterion_2_melnikov(rel_tol: float | None = None) -> CriterionResult:
     rel = melnikov.REL_TOL if rel_tol is None else rel_tol
-    circle = hamiltonian(_p(CIRCLE_F))
-    rot = make_problem(circle, _form("-y", "x"), center=(0.0, 0.0))
+    circle = foliation.hamiltonian(_p(CIRCLE_F))
+    rot = melnikov.make_problem(circle, _form("-y", "x"), center=(0.0, 0.0))
 
     def rot_err(t):
-        return abs(m1(rot, t, rel_tol=rel) - (-4.0 * math.pi * t)) / (4.0 * math.pi * t)
+        m1 = melnikov.m1(rot, t, rel_tol=rel)
+        return abs(m1 - (-4.0 * math.pi * t)) / (4.0 * math.pi * t)
 
     errs = parallel_map(rot_err, M1_GRID)
     fails = [f"rotation law at t={_f(t)}: relative error {_f(e)} > 1e-6"
              for t, e in zip(M1_GRID, errs) if not e <= 1e-6]
 
-    exact = [("exact differential", d_poly(_p("x^3*y + y^3 - 2*x"))),
+    exact = [("exact differential", forms.d_poly(_p("x^3*y + y^3 - 2*x"))),
              ("multiple of df", _form("x^3", "x^2*y"))]
     worst_exact = 0.0
     for label, w in exact:
-        prob = make_problem(circle, w, center=(0.0, 0.0))
-        vals = parallel_map(lambda t, pr=prob: abs(m1(pr, t, rel_tol=rel)), M1_GRID)
+        prob = melnikov.make_problem(circle, w, center=(0.0, 0.0))
+        vals = parallel_map(
+            lambda t, pr=prob: abs(melnikov.m1(pr, t, rel_tol=rel)), M1_GRID)
         worst_exact = max(worst_exact, max(vals))
         for t, v in zip(M1_GRID, vals):
             if not v <= 1e-9:
@@ -204,7 +197,7 @@ def criterion_3_holonomy_consistency(rel_tol: float | None = None) -> CriterionR
     rtol = flow.RTOL if rel_tol is None else rel_tol
     atol = flow.ATOL if rel_tol is None else rel_tol
     eps = 1e-4
-    circle = hamiltonian(_p(CIRCLE_F))
+    circle = foliation.hamiltonian(_p(CIRCLE_F))
     perts = [("rotation", _form("-y", "x")),
              ("vertical shear", _form("0", "x")),
              ("horizontal shear", _form("y", "0"))]
@@ -213,12 +206,12 @@ def criterion_3_holonomy_consistency(rel_tol: float | None = None) -> CriterionR
     def check(case):
         label, w, t = case
         try:
-            prob = make_problem(circle, w, center=(0.0, 0.0))
-            predicted = m1(prob, t, rel_tol=rel)
-            cyc = trace_cycle(circle, (math.sqrt(2.0 * t), 0.0),
+            prob = melnikov.make_problem(circle, w, center=(0.0, 0.0))
+            predicted = melnikov.m1(prob, t, rel_tol=rel)
+            cyc = flow.trace_cycle(circle, (math.sqrt(2.0 * t), 0.0),
+                                   rtol=rtol, atol=atol)
+            h = flow.holonomy(melnikov.perturbed_record(circle, w, eps), cyc,
                               rtol=rtol, atol=atol)
-            h = holonomy(perturbed_record(circle, w, eps), cyc,
-                         rtol=rtol, atol=atol)
             measured = (h.t_out - h.t_in) / eps
         except FoliaError as e:
             return (False, f"{label} at t={_f(t)}: {e}")
@@ -260,10 +253,10 @@ def criterion_4_integral_identity(rel_tol: float | None = None) -> CriterionResu
 
     def check(case):
         name, f_str, seed = case
-        rec = hamiltonian(_p(f_str))
+        rec = foliation.hamiltonian(_p(f_str))
         try:
-            cyc = trace_cycle(rec, seed, rtol=rtol, atol=atol)
-            h = holonomy(rec, cyc, rtol=rtol, atol=atol)
+            cyc = flow.trace_cycle(rec, seed, rtol=rtol, atol=atol)
+            h = flow.holonomy(rec, cyc, rtol=rtol, atol=atol)
         except FoliaError as e:
             return (False, f"{name} from {seed}: {e}", 0.0)
         defect = abs(h.t_out - h.t_in)
@@ -330,12 +323,12 @@ def _random_fiber_poly(rng, deg) -> Poly:
 def criterion_5_monodromy() -> CriterionResult:
     fails = []
 
-    model = build_model(_p("x^3 - 3*x", ("x",)))
+    model = monodromy.build_model(_p("x^3 - 3*x", ("x",)))
     cvs = sorted(model.critical_values, key=lambda z: z.real)
     for got, want in zip(cvs, (-2.0, 2.0)):
         if abs(got - want) > 1e-10:
             fails.append(f"critical value {got} is not within 1e-10 of {want}")
-    ops = monodromy_generators(model)
+    ops = monodromy.monodromy_generators(model)
     s = model.lattice.intersection
     for op in ops:
         if any(not isinstance(e, int) for row in op.matrix for e in row):
@@ -345,7 +338,7 @@ def criterion_5_monodromy() -> CriterionResult:
         if not _preserves(op.matrix, s):
             fails.append(f"operator at {_f(op.critical_value.real)} "
                          "does not preserve the intersection form")
-    if orbit_span(model, ops, (1, 0)).rank != 2:
+    if monodromy.orbit_span(model, ops, (1, 0)).rank != 2:
         fails.append("cubic orbit rank is not 2")
 
     rng = random.Random(731001)
@@ -354,13 +347,13 @@ def criterion_5_monodromy() -> CriterionResult:
         deg = rng.randint(3, 7)
         p = _random_fiber_poly(rng, deg)
         try:
-            draws.append((p, build_model(p)))
+            draws.append((p, monodromy.build_model(p)))
         except InputError:
             continue
 
     def stress(item):
         p, m = item
-        ops = monodromy_generators(m)
+        ops = monodromy.monodromy_generators(m)
         n = m.lattice.rank
         sm = m.lattice.intersection
         problems = []
@@ -368,10 +361,10 @@ def criterion_5_monodromy() -> CriterionResult:
             if _det_int(op.matrix) != 1 or not _preserves(op.matrix, sm):
                 problems.append(f"{p}: operator violates det/pairing")
         start = (1,) + (0,) * (n - 1)
-        rank = orbit_span(m, ops, start).rank
+        rank = monodromy.orbit_span(m, ops, start).rank
         if rank != n:
             problems.append(f"{p}: single-cycle orbit rank {rank}, want {n}")
-        v = cycle_at_infinity(m)
+        v = monodromy.cycle_at_infinity(m)
         if v is not None and any(op(v) != v for op in ops):
             problems.append(f"{p}: cycle at infinity moved")
         return problems
@@ -394,8 +387,8 @@ def criterion_5_monodromy() -> CriterionResult:
 def criterion_6_gauss_manin() -> CriterionResult:
     fails = []
 
-    conn = picard_fuchs(_p("x^3 - 3*x", ("x",)))
-    res = pf_residual(conn, [0.0, 1.0, 3.0j])
+    conn = gaussmanin.picard_fuchs(_p("x^3 - 3*x", ("x",)))
+    res = gaussmanin.pf_residual(conn, [0.0, 1.0, 3.0j])
     if not res < 1e-5:
         fails.append(f"Picard-Fuchs residual {_f(res)} >= 1e-5 for the cubic")
 
@@ -410,14 +403,15 @@ def criterion_6_gauss_manin() -> CriterionResult:
 
     def gl(case):
         name, f_str, w, levels, center = case
-        return name, gelfand_leray_check(_p(f_str), w, levels, center=center)
+        return name, gaussmanin.gelfand_leray_check(_p(f_str), w, levels,
+                                                    center=center)
 
     for name, err in parallel_map(gl, gl_cases):
         gl_worst = max(gl_worst, err)
         if not err < 1e-5:
             fails.append(f"Gelfand-Leray mismatch {_f(err)} >= 1e-5 on {name}")
 
-    basis = brieskorn_basis(3)
+    basis = brieskorn.brieskorn_basis(3)
     f = _p("y^2 - x^3")
     rng = random.Random(20260804)
     nonzero = []
@@ -427,20 +421,20 @@ def criterion_6_gauss_manin() -> CriterionResult:
             e = (rng.randint(0, 3), rng.randint(0, 3))
             terms[e] = Fraction(rng.randint(-5, 5))
         g = Poly(XY, terms)
-        for label, w in (("dg", d_poly(g)), ("g*df", d_poly(f) * g)):
-            vec = brieskorn_reduce(basis, w)
+        for label, w in (("dg", forms.d_poly(g)), ("g*df", forms.d_poly(f) * g)):
+            vec = brieskorn.brieskorn_reduce(basis, w)
             if any(not q.is_zero for q in vec):
                 nonzero.append(f"draw {k}: {label} did not reduce to zero")
     fails.extend(nonzero)
 
     p = _p("x^3", ("x",))
     t = 1.0
-    per = [period_of_form(p, w, t, pair=0) for w in basis.forms]
+    per = [gaussmanin.period_of_form(p, w, t, pair=0) for w in basis.forms]
     id_worst = 0.0
     for w in [_form("x^3*y", "0"), _form("y^3", "0"), _form("0", "x^2"),
               _form("x*y^3", "-x^2*y")]:
-        vec = brieskorn_reduce(basis, w)
-        lhs = period_of_form(p, w, t, pair=0)
+        vec = brieskorn.brieskorn_reduce(basis, w)
+        lhs = gaussmanin.period_of_form(p, w, t, pair=0)
         rhs = sum(complex(q.compiled()(t)) * per[a] for a, q in enumerate(vec))
         err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
         id_worst = max(id_worst, err)
@@ -486,18 +480,18 @@ def criterion_7_integrability() -> CriterionResult:
         residues = [rng.randint(1, 5), rng.randint(1, 5)]
         phi = PolyMap(components=(_random_poly_in(rng, V3, 2, 4),
                                   _random_poly_in(rng, V3, 2, 4)))
-        w2 = elementary_log_form(factors, residues)
-        w3 = pullback_form(phi, w2)
+        w2 = foliation.elementary_log_form(factors, residues)
+        w3 = foliation.pullback_form(phi, w2)
         if w3.is_zero:
             continue
         built += 1
-        if not integrability_obstruction(w3).is_zero:
+        if not foliation.integrability_obstruction(w3).is_zero:
             fails.append(f"pullback form {built} has nonzero obstruction")
 
     bad = DifferentialForm.one_form([Poly.variable(V3, "y"),
                                      Poly.constant(V3, 1),
                                      Poly.constant(V3, 1)])
-    if integrability_obstruction(bad).is_zero:
+    if foliation.integrability_obstruction(bad).is_zero:
         fails.append("the non-integrable control form was accepted")
 
     detail = ("10/10 pullbacks of plane logarithmic forms satisfied "
@@ -522,14 +516,14 @@ def criterion_8_determinism() -> CriterionResult:
             e = tuple(rng.randint(0, 4) for _ in vs)
             terms[e] = Fraction(rng.randint(-99, 99), rng.randint(1, 12))
         p = Poly(vs, terms)
-        q = parse_poly(str(p), vs)
+        q = poly.parse_poly(str(p), vs)
         if q != p:
             fails.append(f"case {k}: {p} reparsed as {q}")
 
     probe = [0.1 * k - 2.5 for k in range(64)]
 
     def render(t):
-        return f"{fmt_float(math.sin(t) * math.exp(t / 8.0)):.12g}"
+        return f"{formats.fmt_float(math.sin(t) * math.exp(t / 8.0)):.12g}"
 
     if parallel_map(render, probe) != [render(t) for t in probe]:
         fails.append("mapped rendering differed from the plain loop")

@@ -17,13 +17,22 @@ Contract:
   ``{"error": ..., "exit_code": ...}`` on stderr, never a traceback;
 * the commands run serially.
 
+A command imports only what its handler calls: at module level this
+file imports the standard library, ``folia.errors`` and the tolerance
+defaults, and each handler imports its own library names.  The exact
+commands (``dulac``, ``pullback``, ``integrability``, ``brieskorn``)
+therefore never load numpy, and only ``selftest`` loads
+``folia.acceptance``.
+
 Tolerance flags belong to the commands that read them:
 ``--root-residual-tol`` (sing), ``--ratio-band`` (sing, classify, log),
 ``--quadrature-rel-tol`` (melnikov) and ``--holonomy-rtol`` (holonomy).
 
 ``--config FILE`` reads a JSON object whose keys mirror the long flag
 names of the chosen subcommand (``{"t0": 0.1, "samples": 9}``); unknown
-keys are rejected, and explicit flags override the file.
+keys, and values the flag could not take on the command line (a number
+for a path, a boolean or 9.7 for ``--samples``), are rejected, and
+explicit flags override the file.
 """
 
 from __future__ import annotations
@@ -36,21 +45,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .acceptance import parallel_map, render_report, run_acceptance
 from .errors import FoliaError, InputError, NumericError
-from .flow import ATOL, RTOL, cycle_through_level, holonomy, trace_cycle
-from .foliation import (CENTER_BAND, RESID_ACCEPT, classify_singularity,
-                        count_centers, dulac_family, expected_center_count,
-                        find_singularities, integrability_obstruction,
-                        logarithmic, pullback_form, residual_scale)
-from .formats import (canonical_json, load_form, load_json_file, load_map,
-                      load_record, parse_residue, record_payload, rows_to_csv)
-from .gaussmanin import brieskorn_basis, brieskorn_reduce, picard_fuchs
-from .melnikov import REL_TOL, ZERO_THRESHOLD, m1, m1_sweep, make_problem
-from .monodromy import (build_model, cycle_at_infinity, monodromy_generators,
-                        orbit_span)
-from .ode import MIN_RTOL
-from .poly import parse_poly
+from .tolerances import (ATOL, CENTER_BAND, MIN_RTOL, REL_TOL, RESID_ACCEPT,
+                         RTOL, ZERO_THRESHOLD)
 
 COMMANDS = ("sing", "classify", "log", "dulac", "pullback", "integrability",
             "holonomy", "melnikov", "monodromy", "picard-fuchs", "brieskorn",
@@ -179,6 +176,7 @@ def _point_payload(sp) -> dict:
 
 
 def _default_center(record) -> tuple[float, float]:
+    from .foliation import count_centers
     census = count_centers(record)
     reals = [c for c in census.centers if c.is_real_point()]
     if not reals:
@@ -192,6 +190,9 @@ def _default_center(record) -> tuple[float, float]:
 
 
 def _cmd_sing(args, cfg: RunConfig):
+    from .foliation import (classify_singularity, find_singularities,
+                            residual_scale)
+    from .formats import load_record
     record = load_record(args.form)
     points = find_singularities(record)
     for sp in points:
@@ -214,6 +215,8 @@ def _cmd_sing(args, cfg: RunConfig):
 
 
 def _cmd_classify(args, cfg: RunConfig):
+    from .foliation import classify_singularity
+    from .formats import load_record
     record = load_record(args.form)
     pt = classify_singularity(record, (_cpoint(args.x, "--x"),
                                        _cpoint(args.y, "--y")),
@@ -222,6 +225,9 @@ def _cmd_classify(args, cfg: RunConfig):
 
 
 def _cmd_log(args, cfg: RunConfig):
+    from .foliation import count_centers, expected_center_count, logarithmic
+    from .formats import canonical_json, parse_residue, record_payload
+    from .poly import parse_poly
     vs = _variables_flag(args.variables)
     if len(vs) != 2:
         raise InputError("logarithmic records need exactly two variables")
@@ -252,6 +258,7 @@ def _cmd_log(args, cfg: RunConfig):
 
 
 def _cmd_dulac(args, cfg: RunConfig):
+    from .foliation import dulac_family
     vs = _variables_flag(args.variables)
     record = dulac_family(args.family, args.index, vs)
     payload = {
@@ -267,6 +274,8 @@ def _cmd_dulac(args, cfg: RunConfig):
 
 
 def _cmd_pullback(args, cfg: RunConfig):
+    from .foliation import pullback_form
+    from .formats import load_form, load_map
     phi = load_map(args.map)
     omega = load_form(args.form)
     pulled = pullback_form(phi, omega)
@@ -279,6 +288,8 @@ def _cmd_pullback(args, cfg: RunConfig):
 
 
 def _cmd_integrability(args, cfg: RunConfig):
+    from .foliation import integrability_obstruction
+    from .formats import load_form
     omega = load_form(args.form)
     obstruction = integrability_obstruction(omega)
     comps = [{"indices": list(idx), "coefficient": str(c)}
@@ -288,6 +299,8 @@ def _cmd_integrability(args, cfg: RunConfig):
 
 
 def _cmd_holonomy(args, cfg: RunConfig):
+    from .flow import cycle_through_level, holonomy, parallel_map, trace_cycle
+    from .formats import load_record
     record = load_record(args.form)
     rtol, atol = cfg.holonomy_rtol, min(cfg.holonomy_rtol, ATOL)
 
@@ -322,6 +335,9 @@ def _cmd_holonomy(args, cfg: RunConfig):
 
 
 def _cmd_melnikov(args, cfg: RunConfig):
+    from .flow import parallel_map
+    from .formats import load_form, load_record
+    from .melnikov import m1, m1_sweep, make_problem
     record = load_record(args.base)
     omega1 = load_form(args.pert, record.vars)
     center = _point(args.center, "--center") if args.center else None
@@ -349,6 +365,9 @@ def _cmd_melnikov(args, cfg: RunConfig):
 
 
 def _cmd_monodromy(args, cfg: RunConfig):
+    from .monodromy import (build_model, cycle_at_infinity,
+                            monodromy_generators, orbit_span)
+    from .poly import parse_poly
     p = parse_poly(args.p, (args.var,))
     model = build_model(p)
     ops = monodromy_generators(model)
@@ -372,6 +391,8 @@ def _cmd_monodromy(args, cfg: RunConfig):
 
 
 def _cmd_picard_fuchs(args, cfg: RunConfig):
+    from .gaussmanin import picard_fuchs
+    from .poly import parse_poly
     p = parse_poly(args.p, (args.var,))
     conn = picard_fuchs(p)
     labels = ["dx/y" if i == 0 else
@@ -387,6 +408,8 @@ def _cmd_picard_fuchs(args, cfg: RunConfig):
 
 
 def _cmd_brieskorn(args, cfg: RunConfig):
+    from .brieskorn import brieskorn_basis, brieskorn_reduce
+    from .formats import load_form
     basis = brieskorn_basis(args.m)
     omega = load_form(args.omega, ("x", "y"))
     vec = brieskorn_reduce(basis, omega)
@@ -505,8 +528,22 @@ _HANDLERS = {
 }
 
 
+def _fits(value, flag_type) -> bool:
+    """Whether a JSON value is one the flag could take on the command
+    line: a string for untyped flags, an integer for ``int`` flags, a
+    number for the float flags; never a boolean, null or container."""
+    if isinstance(value, bool):
+        return False
+    if flag_type is None:
+        return isinstance(value, str)
+    if flag_type is int:
+        return isinstance(value, int)
+    return isinstance(value, (int, float))
+
+
 def _apply_config(argv: list, parsers: dict, command: str):
     """Merge --config file values in as subparser defaults."""
+    from .formats import load_json_file
     path = None
     for i, tok in enumerate(argv):
         if tok == "--config":
@@ -531,14 +568,17 @@ def _apply_config(argv: list, parsers: dict, command: str):
         takes_list = isinstance(action, argparse._AppendAction)
         values = value if isinstance(value, list) else [value]
         if (isinstance(value, list) != takes_list
-                or any(isinstance(v, (list, dict)) for v in values)):
+                or not all(_fits(v, action.type) for v in values)):
             shape = "a list of single values" if takes_list else "a single value"
-            raise InputError(f"{path}: config key {key!r} takes {shape}")
-        if action.type is not None and value is not None:
+            kind = {None: "a string", int: "an integer"}.get(action.type, "a number")
+            raise InputError(f"{path}: config key {key!r} takes {shape} "
+                             f"({'each ' if takes_list else ''}{kind}), "
+                             f"got {value!r}")
+        if action.type is not None:
             try:
                 value = ([action.type(v) for v in value]
                          if takes_list else action.type(value))
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
+            except argparse.ArgumentTypeError as e:
                 raise InputError(f"{path}: bad value for {key!r}: {e}") from e
         overrides[dest] = value
     parser.set_defaults(**overrides)
@@ -561,6 +601,7 @@ def _grid_from_args(command: str, args) -> tuple[float, ...]:
 
 
 def _selftest(args) -> int:
+    from .acceptance import render_report, run_acceptance
     only = None
     if args.criteria:
         try:
@@ -602,6 +643,7 @@ def run(argv) -> int:
         output_format=args.format,
         **{k: v for k, v in vars(args).items() if k in _TOLERANCES},
     )
+    from .formats import canonical_json, rows_to_csv
     payload, rows, columns = _HANDLERS[args.command](args, cfg)
     if cfg.output_format == "csv":
         if rows is None:

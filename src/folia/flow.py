@@ -25,9 +25,8 @@ from .errors import InputError, NumericError
 from .foliation import FoliationRecord, residual_scale
 from .ode import brentq, solve_ivp
 from .poly import Poly
+from .tolerances import ATOL, RTOL
 
-RTOL = 1e-11
-ATOL = 1e-13
 CLOSURE_TOL = 1e-8
 MAX_CHUNKS = 24
 ESCAPE_FACTOR = 1e3
@@ -523,3 +522,13 @@ def numeric_center_test(record: FoliationRecord,
     raise NumericError(
         f"center test failed in all probe directions: {last_err}"
     )
+
+
+def parallel_map(fn, items) -> list:
+    """Map ``fn`` over independent items in the calling thread, results
+    in input order.
+
+    The level sweeps of ``holonomy`` and ``melnikov`` and the acceptance
+    criteria map through it.
+    """
+    return [fn(it) for it in items]

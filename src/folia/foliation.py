@@ -24,21 +24,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InputError, NumericError
 from .forms import DifferentialForm, d_poly, dual_field, pq_form
 from .poly import GaussianRational, Poly, resultant
+from .tolerances import CENTER_BAND, RESID_ACCEPT
 
 # classification thresholds (relative; see each use site)
 NEWTON_MAX_ITER = 80
 NEWTON_TARGET = 1e-10
-RESID_ACCEPT = 1e-8
 SINGULAR_PRECHECK = 1e-6
 DEDUP_TOL = 1e-7
 BOX_LIMIT = 1e6
 NONREDUCED_DET_TOL = 1e-8
-CENTER_BAND = 1e-6
 
 
 @dataclass
@@ -303,6 +300,9 @@ def integrability_obstruction(omega: DifferentialForm) -> DifferentialForm:
 
 # ---------------------------------------------------------------------------
 # singular points
+#
+# The census functions import numpy where they run, so the exact commands
+# (pullbacks, integrability, Dulac records) never load it.
 
 
 def _scale_factors(p: Poly) -> tuple[float, int]:
@@ -326,6 +326,7 @@ def residual_scale(record: FoliationRecord, x: complex, y: complex) -> float:
 
 def _roots_of_poly_in(p: Poly, var_index: int) -> np.ndarray:
     """Roots of an exact polynomial that depends on one variable only."""
+    import numpy as np
     coeffs = p.univariate_in(var_index)
     vals = [complex(c.constant_value()) for c in coeffs]  # ascending, exact zeros kept
     while vals and vals[-1] == 0:
@@ -344,6 +345,7 @@ def _y_roots_at(y_coeffs, x0: complex) -> np.ndarray | None:
     Returns None when the frozen polynomial is numerically degenerate
     (all coefficients tiny, or no dependence left).
     """
+    import numpy as np
     vals = [complex(c(x0, 0.0)) for c in y_coeffs]
     if not vals:
         return None
@@ -358,6 +360,7 @@ def _y_roots_at(y_coeffs, x0: complex) -> np.ndarray | None:
 
 
 def _newton_polish(fns, x: complex, y: complex, scale: float):
+    import numpy as np
     p, q, px, py, qx, qy = fns
     z = np.array([x, y], dtype=complex)
     target = NEWTON_TARGET * scale
@@ -469,6 +472,7 @@ def classify_singularity(record: FoliationRecord,
     center candidate (eigenvalue ratio -1 within ``band``), resonant
     near-misses, generic reduced.
     """
+    import numpy as np
     if band <= 0.0:
         raise InputError("the eigenvalue-ratio band must be positive")
     x, y = complex(point[0]), complex(point[1])

@@ -23,17 +23,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .flow import CycleApprox, Transversal, trace_cycle
+from . import flow     # flow.trace_cycle is read when called: a tracer may swap it
+from .flow import CycleApprox, Transversal
 from .foliation import FoliationRecord, count_centers
 from .forms import DifferentialForm
 from .ode import brentq
 from .poly import Poly
+from .tolerances import REL_TOL, ZERO_THRESHOLD
 
 N_START = 64
 N_MAX = 65536
-REL_TOL = 1e-9
 S_FLOOR = 1e-12
-ZERO_THRESHOLD = 1e-9
 
 
 @dataclass
@@ -267,7 +267,7 @@ def cycle_at(problem: MelnikovProblem, t: float) -> CycleApprox:
             )
         s_star = brentq(g, bracket[0], bracket[1], xtol=1e-15, rtol=8.9e-16)
     seed = sec.point_at(s_star)
-    cycle = trace_cycle(problem.record, seed)
+    cycle = flow.trace_cycle(problem.record, seed)
     # level invariant along the polyline, in the problem's parameter
     sub = cycle.points[:: max(1, len(cycle.points) // 64)]
     lv = problem.f_fn(sub[:, 0], sub[:, 1])

@@ -53,8 +53,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .tolerances import MIN_RTOL
+
 EPS = np.finfo(float).eps
-MIN_RTOL = float(100 * EPS)   # a smaller rtol is raised to this, with a warning
 SAFETY = 0.9        # applied to the asymptotic step-size factor
 MIN_FACTOR = 0.2    # largest decrease of the step size
 MAX_FACTOR = 10     # largest increase of the step size

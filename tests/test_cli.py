@@ -7,6 +7,7 @@ error JSON on stderr, and byte-level determinism across thread counts.
 
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -244,6 +245,37 @@ def test_config_value_of_the_wrong_shape_rejected(tmp_path, circle_file,
                     "--config", str(cfg)]) == 0
 
 
+def test_config_value_of_the_wrong_type_rejected(capsys, tmp_path, circle_file,
+                                                 rot_file):
+    cfg = tmp_path / "cfg.json"
+    melnikov = ["melnikov", "--base", circle_file, "--pert", rot_file]
+    # a value is accepted only where the same flag on the command line
+    # could have given it; 9.7 samples used to run 9, and true index 1
+    cases = [
+        (melnikov, '{"t0": 0.1, "t1": 1, "samples": 9.7}',
+         "'samples' takes a single value (an integer)"),
+        (melnikov, '{"t0": false, "t1": 1, "samples": 3}',
+         "'t0' takes a single value (a number)"),
+        (["dulac", "--family", "A"], '{"index": true}',
+         "'index' takes a single value (an integer)"),
+        (["holonomy", "--form", circle_file], '{"t": [0.25, true]}',
+         "'t' takes a list of single values (each a number)"),
+        (["sing", "--form", circle_file], '{"ratio_band": true}',
+         "'ratio_band' takes a single value (a number)"),
+        (["sing"], '{"form": null}', "'form' takes a single value (a string)"),
+        (["log"], '{"factor": ["x", "y", 1]}',
+         "'factor' takes a list of single values (each a string)"),
+    ]
+    for argv, text, message in cases:
+        cfg.write_text(text)
+        with pytest.raises(InputError, match=re.escape(message)):
+            cli.run([*argv, "--config", str(cfg)])
+    # an integer stands for a float flag, as it does on the command line
+    cfg.write_text('{"t0": 0.1, "t1": 1, "samples": 3}')
+    code, doc = run_json(capsys, [*melnikov, "--config", str(cfg)])
+    assert code == 0 and len(doc["grid"]) == 3
+
+
 # ---- errors and the RunConfig contract -----------------------------------------
 
 
@@ -470,6 +502,17 @@ def test_numeric_warnings_never_reach_stderr(circle_file):
     assert _one_json_line(r.stderr)["exit_code"] == 3
 
 
+def test_config_value_is_never_opened_as_a_file_descriptor(tmp_path):
+    # {"form": 0} used to read the record from stdin, {"form": true} fd 1
+    cfg = tmp_path / "cfg.json"
+    for value in ("0", "true"):
+        cfg.write_text('{"form": %s}' % value)
+        r = _spawn(["sing", "--config", str(cfg)], input=CIRCLE)
+        assert r.returncode == 2 and r.stdout == ""
+        doc = _one_json_line(r.stderr)
+        assert "'form' takes a single value (a string)" in doc["error"]
+
+
 def test_holonomy_rtol_below_the_integrator_floor_exits_2(circle_file):
     # the integrator would clamp it, with a warning, and exit 0
     r = _spawn(["holonomy", "--form", circle_file, "--seed-point", "1,0",
@@ -521,8 +564,8 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_computing_commands_never_load_scipy(capsys, tmp_path, circle_file,
-                                             rot_file):
+def _computing_argvs(tmp_path, circle_file, rot_file):
+    """One or more argvs per computing command, on small inputs."""
     files = {
         "w.json": '{"kind": "form", "variables": ["x", "y"],'
                   ' "coefficients": ["x^3*y", "0"]}',
@@ -536,10 +579,7 @@ def test_computing_commands_never_load_scipy(capsys, tmp_path, circle_file,
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     f = {name: str(tmp_path / name) for name in (*files, "tri.json")}
-    holonomy = ["holonomy", "--form", circle_file, "--t", "0.25", "--t", "0.5"]
-    melnikov = ["melnikov", "--base", circle_file, "--pert", rot_file,
-                "--t0", "0.1", "--t1", "1", "--samples", "9"]
-    argvs = [
+    return [
         ["picard-fuchs", "--p", "x^3 - 3*x"],
         ["brieskorn", "--m", "3", "--omega", f["w.json"]],
         ["pullback", "--map", f["map.json"], "--form", f["form.json"]],
@@ -553,9 +593,16 @@ def test_computing_commands_never_load_scipy(capsys, tmp_path, circle_file,
          "--residue", "1", "--residue", "1", "--residue", "1",
          "--out", f["tri.json"]],
         ["classify", "--form", f["tri.json"], "--x", "1/3", "--y", "1/3"],
-        holonomy,
-        melnikov,
+        ["holonomy", "--form", circle_file, "--t", "0.25", "--t", "0.5"],
+        ["melnikov", "--base", circle_file, "--pert", rot_file,
+         "--t0", "0.1", "--t1", "1", "--samples", "9"],
     ]
+
+
+def test_computing_commands_never_load_scipy(capsys, tmp_path, circle_file,
+                                             rot_file):
+    argvs = _computing_argvs(tmp_path, circle_file, rot_file)
+    holonomy, melnikov = argvs[-2:]
     # every computing command is probed; only selftest may load scipy
     _, parsers = cli._build_parsers()
     assert {argv[0] for argv in argvs} == set(parsers) - {"selftest"}
@@ -565,6 +612,43 @@ def test_computing_commands_never_load_scipy(capsys, tmp_path, circle_file,
     assert cli.run(holonomy) == 0
     assert cli.run(melnikov) == 0
     assert r.stdout == capsys.readouterr().out
+
+
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "numpy" or m.startswith("folia."))
+
+import folia
+package = loaded()
+from folia import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(json.loads(sys.argv[1])) == 0
+print(json.dumps({"package": package, "command": loaded()}))
+"""
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path, circle_file, rot_file):
+    argvs = _computing_argvs(tmp_path, circle_file, rot_file)
+    # the log run writes the record that classify reads
+    loaded = {}
+    for argv in argvs:
+        if argv[0] in loaded:
+            continue
+        r = subprocess.run([sys.executable, "-c", _MODULES_PROBE,
+                            json.dumps(argv)],
+                           capture_output=True, text=True, timeout=600)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["package"] == [], "import folia loaded " + str(doc["package"])
+        loaded[argv[0]] = set(doc["command"])
+    for command, modules in loaded.items():
+        assert "folia.acceptance" not in modules, command
+        if command in ("dulac", "pullback", "integrability", "brieskorn"):
+            assert "numpy" not in modules, command
+    assert not {"folia.flow", "folia.gaussmanin"} & loaded["monodromy"]
 
 
 def test_selftest_subset_deterministic():

@@ -104,3 +104,71 @@ def test_tracer_hooks_the_lazy_scipy_names():
     r = subprocess.run([sys.executable, "-c", _LAZY_PROBE, str(TRACING)],
                        capture_output=True, text=True, timeout=600)
     assert r.returncode == 0, r.stderr
+
+
+def test_tracer_reaches_names_cli_imports_at_call_time(capsys, tmp_path):
+    import folia
+    from folia import cli
+    circle = tmp_path / "circle.json"
+    circle.write_text('{"kind": "hamiltonian", "variables": ["x", "y"],'
+                      ' "f": "1/2*x^2 + 1/2*y^2"}')
+    omega = tmp_path / "w.json"
+    omega.write_text('{"kind": "form", "variables": ["x", "y"],'
+                     ' "coefficients": ["x^3*y", "0"]}')
+    tracing = _tracing()
+    rec = tracing.Recorder()
+    rec.install(0)
+    try:
+        assert cli.run(["holonomy", "--form", str(circle),
+                        "--t", "0.25", "--t", "0.5"]) == 0
+        assert cli.run(["brieskorn", "--m", "3", "--omega", str(omega)]) == 0
+        # read through the lazy package while the wrappers are in place
+        exported = [a for _, a, _, _ in tracing.SPANNED if a in folia.__all__]
+        for attr in exported:
+            getattr(folia, attr)
+    finally:
+        rec.uninstall()
+    capsys.readouterr()
+    calls = rec.pass_summary(0)["calls"]
+    assert calls["flow.holonomy"] == 2
+    assert calls["acceptance.parallel_map"] == 1
+    assert calls["gaussmanin.brieskorn_reduce"] == 1
+    # wrappers are the recorder's closures; none may outlive uninstall
+    codes = {rec.span("probe", len).__code__,
+             rec.counted("probe", len).__code__}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "folia" or modname.startswith("folia."):
+            for attr, val in vars(mod).items():
+                assert getattr(val, "__code__", None) not in codes, (modname, attr)
+                assert not isinstance(val, tracing._CountingNumpy), (modname, attr)
+    from folia import ratfunc
+    assert getattr(ratfunc.RatFrac.__init__, "__code__", None) not in codes
+    for attr in exported:
+        assert getattr(folia, attr).__code__ not in codes, attr
+
+
+_COLD_INSTALL_PROBE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("_perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+assert not [m for m in sys.modules if m.startswith("folia")]
+rec = tracing.Recorder()
+rec.install(0)      # imports the hooked modules one by one
+rec.uninstall()
+codes = {rec.span("probe", len).__code__, rec.counted("probe", len).__code__}
+held = [(name, attr) for name, mod in list(sys.modules.items())
+        if name == "folia" or name.startswith("folia.")
+        for attr, val in vars(mod).items()
+        if getattr(val, "__code__", None) in codes
+        or isinstance(val, tracing._CountingNumpy)]
+assert not held, held
+"""
+
+
+def test_no_wrapper_outlives_an_install_into_a_cold_interpreter():
+    # a module imported during install, after a name it binds was
+    # wrapped, would keep the wrapper once the originals are restored
+    r = subprocess.run([sys.executable, "-c", _COLD_INSTALL_PROBE, str(TRACING)],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr

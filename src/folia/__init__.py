@@ -39,6 +39,7 @@ _HOMES = {
     "acceptance": ("render_report", "run_acceptance"),
 }
 _MODULE_OF = {name: mod for mod, names in _HOMES.items() for name in names}
+__all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name):
@@ -53,62 +54,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_MODULE_OF))
 
-
-__all__ = [
-    "FoliaError",
-    "InputError",
-    "NumericError",
-    "ParseError",
-    "GaussianRational",
-    "Poly",
-    "parse_poly",
-    "resultant",
-    "DifferentialForm",
-    "d_poly",
-    "dual_field",
-    "pq_form",
-    "FoliationRecord",
-    "PolyMap",
-    "count_centers",
-    "dulac_family",
-    "expected_center_count",
-    "find_singularities",
-    "hamiltonian",
-    "integrability_obstruction",
-    "logarithmic",
-    "pullback_form",
-    "holonomy",
-    "numeric_center_test",
-    "section_at",
-    "trace_cycle",
-    "m1",
-    "m1_sweep",
-    "make_problem",
-    "perturbed_record",
-    "tangency_test",
-    "FibrationModel",
-    "MonodromyOperator",
-    "build_model",
-    "cycle_at_infinity",
-    "monodromy_generators",
-    "orbit_ball",
-    "orbit_span",
-    "twist_matrix",
-    "ConnectionMatrix",
-    "basis_periods",
-    "brieskorn_basis",
-    "brieskorn_reduce",
-    "gelfand_leray_check",
-    "period_of_form",
-    "pf_residual",
-    "picard_fuchs",
-    "canonical_json",
-    "fmt_float",
-    "load_form",
-    "load_map",
-    "load_record",
-    "parallel_map",
-    "render_report",
-    "run_acceptance",
-    "__version__",
-]

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InputError, NumericError
 from .forms import DifferentialForm
-from .poly import Poly
+from .poly import MAX_PARSE_DEGREE, Poly, add_term
 
 
 @dataclass
@@ -35,6 +35,9 @@ class BrieskornBasis:
 def brieskorn_basis(m: int) -> BrieskornBasis:
     if not isinstance(m, int) or m < 2:
         raise InputError("the family y^2 - x^m needs an integer m >= 2")
+    if m > MAX_PARSE_DEGREE:
+        raise InputError(f"the family y^2 - x^m needs m <= {MAX_PARSE_DEGREE}, "
+                         "the parser's degree budget")
     vs = ("x", "y")
     f = Poly(vs, {(0, 2): 1, (m, 0): -1})
     forms = tuple(
@@ -75,25 +78,14 @@ def brieskorn_reduce(basis: BrieskornBasis,
 
     # working monomials c * x^i y^j t^l dx, keyed by (i, j, l)
     work: dict[tuple[int, int, int], object] = {}
-
-    def put(key, c):
-        if key in work:
-            s = work[key] + c
-            if s.is_zero:
-                del work[key]
-            else:
-                work[key] = s
-        elif not c.is_zero:
-            work[key] = c
-
     for (i, j), c in b_poly.terms.items():
         if j >= 1:
-            put((i + m - 1, j - 1, 0), c * Fraction(m, 2))
+            add_term(work, (i + m - 1, j - 1, 0), c * Fraction(m, 2))
         elif i >= 1:
-            put((i - 1, 1, 0), c * Fraction(-i))
+            add_term(work, (i - 1, 1, 0), c * Fraction(-i))
         # dy alone is exact
     for (i, j), c in a_poly.terms.items():
-        put((i, j, 0), c)
+        add_term(work, (i, j, 0), c)
 
     # odd y-powers fold down to y; even ones are exact and vanish.  The
     # fold only makes j = 1 keys, so one pass over the others suffices.
@@ -103,7 +95,7 @@ def brieskorn_reduce(basis: BrieskornBasis,
         if j % 2:
             k = (j - 1) // 2
             for l2 in range(k + 1):
-                put((i + m * (k - l2), 1, l + l2), c * math.comb(k, l2))
+                add_term(work, (i + m * (k - l2), 1, l + l2), c * math.comb(k, l2))
 
     # x-degree reduction inside the y dx stratum: the rule lowers i by m,
     # so one pass from the largest i down leaves nothing above m - 2
@@ -112,7 +104,8 @@ def brieskorn_reduce(basis: BrieskornBasis,
         for key in [key for key in work if key[0] == i]:
             c = work.pop(key)
             if q:       # x^(m-1) y dx is exact
-                put((i - m, 1, key[2] + 1), c * Fraction(-2 * q, 3 * m + 2 * q))
+                add_term(work, (i - m, 1, key[2] + 1),
+                         c * Fraction(-2 * q, 3 * m + 2 * q))
 
     tv = ("t",)
     out = [Poly.zero(tv) for _ in range(m - 1)]

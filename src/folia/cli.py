@@ -176,12 +176,11 @@ def _point_payload(sp) -> dict:
 
 
 def _default_center(record) -> tuple[float, float]:
-    from .foliation import count_centers
-    census = count_centers(record)
-    reals = [c for c in census.centers if c.is_real_point()]
-    if not reals:
+    from .foliation import first_real_center
+    center = first_real_center(record)
+    if center is None:
         raise InputError("the record has no real center candidate; pass --center")
-    return (reals[0].x.real, reals[0].y.real)
+    return center
 
 
 # ---------------------------------------------------------------------------

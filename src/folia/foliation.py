@@ -324,35 +324,17 @@ def residual_scale(record: FoliationRecord, x: complex, y: complex) -> float:
     return max(c * m ** d for c, d in record.scale_factors)
 
 
-def _roots_of_poly_in(p: Poly, var_index: int) -> np.ndarray:
-    """Roots of an exact polynomial that depends on one variable only."""
-    import numpy as np
-    coeffs = p.univariate_in(var_index)
-    vals = [complex(c.constant_value()) for c in coeffs]  # ascending, exact zeros kept
-    while vals and vals[-1] == 0:
-        vals.pop()
-    if len(vals) <= 1:
-        return np.array([], dtype=complex)
-    arr = np.array(vals[::-1], dtype=complex)
-    arr = arr / np.max(np.abs(arr))
-    return np.roots(arr)
+def _roots(vals: list[complex], cut: float) -> np.ndarray | None:
+    """Roots of the polynomial with ascending coefficients ``vals``.
 
-
-def _y_roots_at(y_coeffs, x0: complex) -> np.ndarray | None:
-    """Roots in y of a polynomial at x = x0, given the evaluators of its
-    coefficients in y (ascending degree).
-
-    Returns None when the frozen polynomial is numerically degenerate
-    (all coefficients tiny, or no dependence left).
+    The coefficients are scaled by the largest modulus, and leading ones
+    of modulus at most ``cut`` times that are dropped; None when fewer
+    than two are left (no root, or no dependence on the variable).
     """
     import numpy as np
-    vals = [complex(c(x0, 0.0)) for c in y_coeffs]
-    if not vals:
-        return None
-    top = max(abs(v) for v in vals)
-    if top == 0.0:
-        return None
-    while vals and abs(vals[-1]) <= 1e-12 * top:
+    top = max(map(abs, vals), default=0.0)
+    vals = list(vals)
+    while vals and abs(vals[-1]) <= cut * top:
         vals.pop()
     if len(vals) <= 1:
         return None
@@ -408,8 +390,10 @@ def find_singularities(record: FoliationRecord) -> list[SingularPoint]:
     if r_in_x.is_zero or r_in_y.is_zero:
         raise InputError("P and Q share a common factor; singularities are not isolated")
 
-    xroots = _roots_of_poly_in(r_in_x, 0)
-    if xroots.size == 0:
+    # the eliminant is exact: only its exact zeros are dropped
+    xroots = _roots([complex(c.constant_value()) for c in r_in_x.univariate_in(0)],
+                    0.0)
+    if xroots is None:
         return []
 
     fns = (p.compiled(), q.compiled(), record.P_x.compiled(),
@@ -423,8 +407,8 @@ def find_singularities(record: FoliationRecord) -> list[SingularPoint]:
         # in y without its coefficients vanishing exactly, which would
         # poison a single-source candidate list; take the union instead
         # and let the residual test discard the spurious ones
-        yc_p = _y_roots_at(p_in_y, x0)
-        yc_q = _y_roots_at(q_in_y, x0)
+        yc_p = _roots([complex(c(x0, 0.0)) for c in p_in_y], 1e-12)
+        yc_q = _roots([complex(c(x0, 0.0)) for c in q_in_y], 1e-12)
         if yc_p is None and yc_q is None:
             raise NumericError(
                 f"could not isolate y-candidates over x = {x0}; "
@@ -574,3 +558,11 @@ def count_centers(record: FoliationRecord,
         centers=centers, intersections=intersections, other=other,
         expected_centers=expected,
     )
+
+
+def first_real_center(record: FoliationRecord) -> tuple[float, float] | None:
+    """The first real center candidate of the census, or None."""
+    for c in count_centers(record).centers:
+        if c.is_real_point():
+            return (c.x.real, c.y.real)
+    return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError
-from .poly import Poly
+from .poly import Poly, add_term
 
 Index = tuple[int, ...]
 
@@ -63,10 +63,7 @@ class DifferentialForm:
                 raise InputError("form components must be Poly")
             if p.vars != self.vars:
                 raise InputError("component variables disagree with the form's")
-            if not p.is_zero:
-                clean[idx] = (clean[idx] + p) if idx in clean else p
-                if idx in clean and clean[idx].is_zero:
-                    del clean[idx]
+            add_term(clean, idx, p)
         self.comps = clean
 
     # ---- constructors ---------------------------------------------------
@@ -125,12 +122,7 @@ class DifferentialForm:
         self._check_compat(other)
         comps = dict(self.comps)
         for idx, p in other.comps.items():
-            s = comps.get(idx)
-            s = p if s is None else s + p
-            if s.is_zero:
-                comps.pop(idx, None)
-            else:
-                comps[idx] = s
+            add_term(comps, idx, p)
         return DifferentialForm(self.vars, self.degree, comps)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
@@ -171,14 +163,7 @@ class DifferentialForm:
                 if sign == 0:
                     continue
                 t = p1 * p2
-                if sign < 0:
-                    t = -t
-                s = comps.get(key)
-                s = t if s is None else s + t
-                if s.is_zero:
-                    comps.pop(key, None)
-                else:
-                    comps[key] = s
+                add_term(comps, key, t if sign > 0 else -t)
         return DifferentialForm(self.vars, deg, comps)
 
     def exterior_d(self) -> "DifferentialForm":
@@ -191,16 +176,8 @@ class DifferentialForm:
                 if i in idx:
                     continue
                 dp = p.diff(i)
-                if dp.is_zero:
-                    continue
                 sign, key = _sort_with_sign((i,) + idx)
-                t = dp if sign > 0 else -dp
-                s = comps.get(key)
-                s = t if s is None else s + t
-                if s.is_zero:
-                    comps.pop(key, None)
-                else:
-                    comps[key] = s
+                add_term(comps, key, dp if sign > 0 else -dp)
         return DifferentialForm(self.vars, self.degree + 1, comps)
 
     def contract(self, field: Sequence[Poly]) -> "DifferentialForm":
@@ -213,17 +190,7 @@ class DifferentialForm:
         for idx, p in self.comps.items():
             for pos, i in enumerate(idx):
                 t = p * field[i]
-                if pos % 2:
-                    t = -t
-                if t.is_zero:
-                    continue
-                key = idx[:pos] + idx[pos + 1:]
-                s = comps.get(key)
-                s = t if s is None else s + t
-                if s.is_zero:
-                    comps.pop(key, None)
-                else:
-                    comps[key] = s
+                add_term(comps, idx[:pos] + idx[pos + 1:], -t if pos % 2 else t)
         return DifferentialForm(self.vars, self.degree - 1, comps)
 
     def __str__(self):

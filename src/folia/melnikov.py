@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from . import flow     # flow.trace_cycle is read when called: a tracer may swap it
 from .flow import CycleApprox, Transversal
-from .foliation import FoliationRecord, count_centers
+from .foliation import FoliationRecord, first_real_center
 from .forms import DifferentialForm
 from .ode import brentq
 from .poly import Poly
@@ -112,21 +112,17 @@ def _logarithmic_fns(record: FoliationRecord):
         lams.append(float(lam.re))
     fs = [f.compiled() for f in spec.factors]
 
-    def f_fn(x, y):
-        acc = 1.0
-        for fc, lam in zip(fs, lams):
-            v = np.asarray(fc(x, y), dtype=float)
-            acc = acc * np.where(v > 0.0, v, np.nan) ** lam
-        return acc
+    def power_product(exps):
+        def fn(x, y):
+            acc = 1.0
+            for fc, e in zip(fs, exps):
+                v = np.asarray(fc(x, y), dtype=float)
+                acc = acc * np.where(v > 0.0, v, np.nan) ** e
+            return acc
+        return fn
 
-    def s_fn(x, y):
-        acc = 1.0
-        for fc, lam in zip(fs, lams):
-            v = np.asarray(fc(x, y), dtype=float)
-            acc = acc * np.where(v > 0.0, v, np.nan) ** (1.0 - lam)
-        return acc
-
-    return f_fn, s_fn
+    # f = prod f_i^lam_i and s = prod f_i^(1 - lam_i)
+    return power_product(lams), power_product([1.0 - lam for lam in lams])
 
 
 def _consistency_check(record: FoliationRecord, f_fn, s_fn,
@@ -192,11 +188,9 @@ def make_problem(record: FoliationRecord, omega1: DifferentialForm,
         )
 
     if center is None:
-        census = count_centers(record)
-        reals = [c for c in census.centers if c.is_real_point()]
-        if not reals:
+        center = first_real_center(record)
+        if center is None:
             raise InputError("no real center candidate found; pass one explicitly")
-        center = (reals[0].x.real, reals[0].y.real)
     c = np.asarray([float(center[0]), float(center[1])], dtype=float)
 
     if record.kind == "logarithmic":

@@ -222,6 +222,11 @@ def _match_roots(ref: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return roots[cols]
 
 
+def _min_gap(zs: list[complex]) -> float:
+    """Smallest distance between two of the points ``zs``."""
+    return min(abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1:])
+
+
 def build_model(p: Poly, base: float | None = None) -> FibrationModel:
     """Critical values of y^2 - p(x), base fiber data, and the chain lattice.
 
@@ -241,10 +246,8 @@ def build_model(p: Poly, base: float | None = None) -> FibrationModel:
 
     cvals = _critical_values(coeffs)
     scale = 1.0 + max(abs(c) for c in cvals)
-    for i in range(len(cvals)):
-        for j in range(i + 1, len(cvals)):
-            if abs(cvals[i] - cvals[j]) < 1e-9 * scale:
-                raise NumericError("critical values too close to separate")
+    if _min_gap(cvals) < 1e-9 * scale:
+        raise NumericError("critical values too close to separate")
 
     if base is None:
         base = math.floor(min(c.real for c in cvals)) - 2.0
@@ -257,9 +260,7 @@ def build_model(p: Poly, base: float | None = None) -> FibrationModel:
     cf = _descending(coeffs)
     branch = sorted((complex(z) for z in _polished_roots(cf, 8, shift=base)),
                     key=lambda z: (z.real, z.imag))
-    sep = min(abs(a - b) for i, a in enumerate(branch)
-              for b in branch[i + 1:])
-    if sep < 1e-9 * (1.0 + max(abs(z) for z in branch)):
+    if _min_gap(branch) < 1e-9 * (1.0 + max(abs(z) for z in branch)):
         raise NumericError("branch points at the base fiber are too close")
 
     rank = m - 1
@@ -401,7 +402,6 @@ class _Tracker:
         n = model.lattice.rank
         self.inter = model.lattice.intersection
         self.matrix = _identity(n)
-        self.word: list[tuple[int, int]] = []
 
     def _orders(self, roots: np.ndarray, phis) -> np.ndarray:
         """Row i's projection order at frame angle ``phis[i]``, as row
@@ -409,8 +409,7 @@ class _Tracker:
         each closer than the root finder's noise floor to the next is a tie
         and falls through to the imaginary part (the limit of a slightly
         positive frame angle).  Without the tie a conjugate pair on a real
-        segment flips order at random and floods the word with fake
-        crossings."""
+        segment flips order at random and emits fake crossings."""
         rot = np.array([cmath.exp(-1j * phi) for phi in phis])
         w = roots * rot[:, None]
         by_re = np.argsort(w.real, axis=1, kind="stable")
@@ -429,7 +428,6 @@ class _Tracker:
                 if self.inter[j][k]]
         m[k] = [v + sum(c * m[j][col] for j, c in coef)
                 for col, v in enumerate(m[k])]
-        self.word.append((k, sign))
 
     def _events(self, r0, r1, ord0, ord1, phi0,
                 phi1) -> list[tuple[int, int]] | None:

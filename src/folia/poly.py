@@ -184,6 +184,20 @@ def _coerce_coeff(v) -> GaussianRational:
     return v if isinstance(v, GaussianRational) else GaussianRational.from_number(v)
 
 
+def add_term(terms: dict, key, c) -> None:
+    """Add ``c`` to ``terms[key]``, keeping no zero: the key is dropped
+    when the sum vanishes.  ``c`` may be anything with ``+`` and
+    ``is_zero``, a coefficient or a polynomial."""
+    if key in terms:
+        s = terms[key] + c
+        if s.is_zero:
+            del terms[key]
+        else:
+            terms[key] = s
+    elif not c.is_zero:
+        terms[key] = c
+
+
 # terms per generated line: one sum of about 3,000 terms, which a degree-24
 # parse can make, exceeds CPython's recursion limit during compilation
 _SUM_CHUNK = 64
@@ -248,13 +262,16 @@ class Poly:
                 exps = tuple(exps)
                 if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
                     raise InputError(f"bad exponent tuple {exps} for {n} variables")
-                cc = _coerce_coeff(c)
-                if not cc.is_zero:
-                    clean[exps] = clean[exps] + cc if exps in clean else cc
-                    if exps in clean and clean[exps].is_zero:
-                        del clean[exps]
+                add_term(clean, exps, _coerce_coeff(c))
         self.terms = clean
         self._compiled_cache = None
+
+    @staticmethod
+    def _raw(variables: tuple, terms: dict) -> "Poly":
+        """A Poly on terms already checked and free of zeros."""
+        out = Poly.__new__(Poly)
+        out.vars, out.terms, out._compiled_cache = variables, terms, None
+        return out
 
     # ---- constructors -------------------------------------------------
 
@@ -331,23 +348,13 @@ class Poly:
         self._check_vars(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, _ZERO) + c
-            if s.is_zero:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        out = Poly.__new__(Poly)
-        out.vars, out.terms, out._compiled_cache = self.vars, terms, None
-        return out
+            add_term(terms, exps, c)
+        return Poly._raw(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._compiled_cache = None
-        return out
+        return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -362,24 +369,13 @@ class Poly:
             c = _coerce_coeff(other)
             if c.is_zero:
                 return self.zero_like()
-            out = Poly.__new__(Poly)
-            out.vars = self.vars
-            out.terms = {e: v * c for e, v in self.terms.items()}
-            out._compiled_cache = None
-            return out
+            return Poly._raw(self.vars, {e: v * c for e, v in self.terms.items()})
         self._check_vars(other)
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, _ZERO) + c1 * c2
-                if s.is_zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        out = Poly.__new__(Poly)
-        out.vars, out.terms, out._compiled_cache = self.vars, terms, None
-        return out
+                add_term(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return Poly._raw(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -416,13 +412,8 @@ class Poly:
         for exps, c in self.terms.items():
             e = exps[i]
             if e:
-                ne = exps[:i] + (e - 1,) + exps[i + 1:]
-                nc = terms.get(ne, _ZERO) + c * e
-                if not nc.is_zero:
-                    terms[ne] = nc
-        out = Poly.__new__(Poly)
-        out.vars, out.terms, out._compiled_cache = self.vars, terms, None
-        return out
+                add_term(terms, exps[:i] + (e - 1,) + exps[i + 1:], c * e)
+        return Poly._raw(self.vars, terms)
 
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute ``images[i]`` for variable ``i``.
@@ -503,10 +494,8 @@ class Poly:
             return []
         coeffs = [dict() for _ in range(d + 1)]
         for exps, c in self.terms.items():
-            e = exps[i]
-            rest = exps[:i] + (0,) + exps[i + 1:]
-            coeffs[e][rest] = coeffs[e].get(rest, _ZERO) + c
-        return [Poly(self.vars, t) for t in coeffs]
+            coeffs[exps[i]][exps[:i] + (0,) + exps[i + 1:]] = c
+        return [Poly._raw(self.vars, t) for t in coeffs]
 
     # ---- printing -------------------------------------------------------
 

@@ -513,6 +513,21 @@ def test_config_value_is_never_opened_as_a_file_descriptor(tmp_path):
         assert "'form' takes a single value (a string)" in doc["error"]
 
 
+def test_brieskorn_m_above_the_parser_budget_exits_2_at_once(capsys, tmp_path):
+    # m = 2,000,000 used to run for 38 s and print 61 MB
+    w = tmp_path / "w.json"
+    w.write_text('{"kind": "form", "variables": ["x", "y"],'
+                 ' "coefficients": ["x^3*y", "0"]}')
+    t0 = time.perf_counter()
+    r = _spawn(["brieskorn", "--m", "2000000", "--omega", str(w)])
+    assert time.perf_counter() - t0 < 1.0
+    assert r.returncode == 2 and r.stdout == ""
+    doc = _one_json_line(r.stderr)
+    assert doc["exit_code"] == 2 and "m <= 24" in doc["error"]
+    code, doc = run_json(capsys, ["brieskorn", "--m", "24", "--omega", str(w)])
+    assert code == 0 and len(doc["basis"]) == 23
+
+
 def test_holonomy_rtol_below_the_integrator_floor_exits_2(circle_file):
     # the integrator would clamp it, with a warning, and exit 0
     r = _spawn(["holonomy", "--form", circle_file, "--seed-point", "1,0",

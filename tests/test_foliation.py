@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from folia import InputError, NumericError, Poly, parse_poly, poly
 from folia.foliation import (
+    _roots,
     CenterCensus,
     PolyMap,
     classify_singularity,
@@ -156,6 +158,122 @@ def test_classify_complex_residues_do_not_crash():
     rec = logarithmic([P("x"), P("y")], [1, complex(0, 1)])
     sp = classify_singularity(rec, (0, 0))
     assert sp.classification in ("generic_reduced", "resonant_other")
+
+
+# the two root extractors that ``_roots`` replaced, kept as its references
+
+
+def _roots_of_poly_in(p: Poly, var_index: int) -> np.ndarray:
+    """Roots of an exact polynomial that depends on one variable only."""
+    import numpy as np
+    coeffs = p.univariate_in(var_index)
+    vals = [complex(c.constant_value()) for c in coeffs]  # ascending, exact zeros kept
+    while vals and vals[-1] == 0:
+        vals.pop()
+    if len(vals) <= 1:
+        return np.array([], dtype=complex)
+    arr = np.array(vals[::-1], dtype=complex)
+    arr = arr / np.max(np.abs(arr))
+    return np.roots(arr)
+
+
+def _y_roots_at(y_coeffs, x0: complex) -> np.ndarray | None:
+    """Roots in y of a polynomial at x = x0, given the evaluators of its
+    coefficients in y (ascending degree).
+
+    Returns None when the frozen polynomial is numerically degenerate
+    (all coefficients tiny, or no dependence left).
+    """
+    import numpy as np
+    vals = [complex(c(x0, 0.0)) for c in y_coeffs]
+    if not vals:
+        return None
+    top = max(abs(v) for v in vals)
+    if top == 0.0:
+        return None
+    while vals and abs(vals[-1]) <= 1e-12 * top:
+        vals.pop()
+    if len(vals) <= 1:
+        return None
+    return np.roots(np.array(vals[::-1], dtype=complex) / top)
+
+
+def _assert_same_roots(got, ref):
+    if ref is None or got is None:
+        assert got is None and ref is None
+    else:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def _eliminant_cases():
+    rng = random.Random("census-roots-eliminant")
+    tiny = Fraction(1, 10**400)     # nonzero, but 0.0 as a double
+    cases = [{}, {0: 3}, {0: 1, 1: 2}, {0: -2, 1: 0, 2: 1, 3: tiny},
+             {0: 1, 2: -tiny, 3: tiny}, {2: 5}, {1: tiny, 0: tiny}]
+    for _ in range(60):
+        cases.append({k: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) *
+                      10**rng.randint(-8, 8) for k in range(rng.randint(1, 9))})
+    return [Poly(VS, {(k, 0): c for k, c in case.items()}) for case in cases]
+
+
+def test_roots_equals_the_eliminant_extractor_bit_for_bit():
+    for p in _eliminant_cases():
+        ref = _roots_of_poly_in(p, 0)
+        got = _roots([complex(c.constant_value()) for c in p.univariate_in(0)], 0.0)
+        # the reference says "no roots" with an empty array, _roots with None
+        _assert_same_roots(got, ref if ref.size else None)
+
+
+def test_roots_on_complex_eliminants_differs_at_most_in_the_scale():
+    # np.abs of a complex double is not always libm's hypot, which abs()
+    # is: numpy's SIMD loops compute it another way, and differ by an ulp
+    # or two on some hosts.  The reference scaled by np.abs, _roots scales
+    # by abs(); with equal scales the roots are equal bit for bit.  (Real
+    # eliminants, those of every real record, always have equal scales.)
+    rng = random.Random("census-roots-complex-eliminant")
+    for _ in range(60):
+        vals = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                for _ in range(rng.randint(2, 9))]
+        arr = np.array(vals[::-1], dtype=complex)
+        ref_top, top = np.max(np.abs(arr)), max(map(abs, vals))
+        assert abs(ref_top - top) <= 4 * np.spacing(top)
+        got = _roots(vals, 0.0)
+        if ref_top == top:
+            _assert_same_roots(got, np.roots(arr / ref_top))
+        else:
+            ref = np.roots(arr / ref_top)
+            assert np.allclose(np.sort_complex(got), np.sort_complex(ref),
+                               rtol=1e-9, atol=1e-9)
+
+
+def _slice_cases():
+    rng = random.Random("census-roots-slice")
+    top = 2.0       # 1e-12 * top is then exact
+    at_cut = 1e-12 * top
+    above = np.nextafter(at_cut, np.inf)
+    cases = [[], [0.0], [0.0, 0.0, 0.0], [3.0], [1j], [complex(0.0, -0.0), 0.0],
+             [1.0, top, at_cut], [1.0, top, above], [1.0, top, 1j * at_cut],
+             [1.0, top, -1j * above], [top, at_cut, at_cut],
+             [top, 1.0, 0.0, -at_cut], [at_cut, top, above, at_cut]]
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        scale = 10.0 ** rng.randint(-20, 20)
+        if rng.random() < 0.5:
+            vals = [rng.uniform(-1, 1) * scale for _ in range(n)]
+        else:
+            vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+                    for _ in range(n)]
+        if rng.random() < 0.3:    # leading coefficients near the cut
+            vals += [v * 1e-13 for v in vals[:rng.randint(1, n)]]
+        cases.append(vals)
+    return [[complex(v) for v in vals] for vals in cases]
+
+
+def test_roots_equals_the_slice_extractor_bit_for_bit():
+    for vals in _slice_cases():
+        evaluators = [lambda x, y, v=v: v for v in vals]
+        _assert_same_roots(_roots(vals, 1e-12), _y_roots_at(evaluators, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Exterior algebra invariants: d^2 = 0, antisymmetry, Leibniz."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folia import InputError, Poly, parse_poly
 from folia.forms import DifferentialForm, d_poly, dual_field, pq_form
+from folia.poly import GaussianRational
 
 
 def _rand_poly(rng, vs, terms=4, deg=3):
@@ -106,3 +109,158 @@ def test_degree_bookkeeping_errors():
     # wedge beyond the dimension collapses to the zero top form
     top = w.wedge(w.exterior_d())
     assert top.is_zero and top.degree == 2
+
+
+# ---- the term accumulator --------------------------------------------------
+#
+# Every sum of terms in Poly and DifferentialForm goes through one
+# accumulator that drops a key when its sum vanishes.  The references here
+# sum naively into a flat dict, zeros kept, and filter once at the end.
+
+_VARS = ("x", "y", "z")
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+_COEFF = st.builds(lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+                   st.integers(-2, 2), st.integers(-1, 1), st.integers(1, 2))
+
+
+def _raw_terms(n):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), _COEFF,
+                           max_size=5)
+
+
+def _poly(n):
+    return _raw_terms(n).map(lambda t: Poly(_VARS[:n], t))
+
+
+def _naive(contributions):
+    acc = defaultdict(lambda: GaussianRational(0))
+    for key, c in contributions:
+        acc[key] = acc[key] + c
+    return {k: c for k, c in acc.items() if not c.is_zero}
+
+
+def _sign(idx):
+    if len(set(idx)) < len(idx):
+        return 0, None
+    inversions = sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
+    return (-1) ** inversions, tuple(sorted(idx))
+
+
+def _flat(form):
+    return [((idx, e), c) for idx, p in form.comps.items()
+            for e, c in p.terms.items()]
+
+
+def _add_exps(e1, e2):
+    return tuple(a + b for a, b in zip(e1, e2))
+
+
+def _naive_wedge(a, b):
+    out = []
+    for (i1, e1), c1 in _flat(a):
+        for (i2, e2), c2 in _flat(b):
+            sign, key = _sign(i1 + i2)
+            if sign:
+                out.append(((key, _add_exps(e1, e2)), c1 * c2 * sign))
+    return _naive(out)
+
+
+def _naive_d(form):
+    out = []
+    for (idx, e), c in _flat(form):
+        for i in range(len(e)):
+            sign, key = _sign((i,) + idx)
+            if sign and e[i]:
+                de = e[:i] + (e[i] - 1,) + e[i + 1:]
+                out.append(((key, de), c * e[i] * sign))
+    return _naive(out)
+
+
+def _naive_contract(form, field):
+    out = []
+    for (idx, e), c in _flat(form):
+        for pos, i in enumerate(idx):
+            for ef, cf in field[i].terms.items():
+                key = idx[:pos] + idx[pos + 1:]
+                out.append(((key, _add_exps(e, ef)), c * cf * (-1) ** pos))
+    return _naive(out)
+
+
+def _assert_poly(p, ref):
+    assert all(not c.is_zero for c in p.terms.values())
+    assert p.terms == ref
+
+
+def _assert_form(w, ref):
+    assert all(not p.is_zero for p in w.comps.values())
+    assert all(not c.is_zero for _, c in _flat(w))
+    assert dict(_flat(w)) == ref
+
+
+@st.composite
+def _poly_cases(draw):
+    n = draw(st.integers(2, 3))
+    raw = draw(_raw_terms(n))
+    p = Poly(_VARS[:n], raw)
+    # q cancels p at a drawn subset of p's terms
+    q_raw = draw(_raw_terms(n))
+    for e, c in p.terms.items():
+        if draw(st.booleans()):
+            q_raw[e] = -c
+    return raw, p, Poly(_VARS[:n], q_raw)
+
+
+@_SETTINGS
+@given(_poly_cases())
+def test_poly_operations_keep_no_zero_terms(case):
+    raw, p, q = case
+    _assert_poly(p, _naive(raw.items()))
+    _assert_poly(p + q, _naive([*p.terms.items(), *q.terms.items()]))
+    _assert_poly(p + (-p), {})
+    s, t = p + q, p - q
+    for a, b in ((p, q), (s, t)):       # (p + q)(p - q) cancels p*q - q*p
+        _assert_poly(a * b, _naive([(_add_exps(e1, e2), c1 * c2)
+                                    for e1, c1 in a.terms.items()
+                                    for e2, c2 in b.terms.items()]))
+    for i in range(p.nvars):
+        _assert_poly(p.diff(i), _naive([(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                                        for e, c in p.terms.items() if e[i]]))
+
+
+@st.composite
+def _form_cases(draw):
+    n = draw(st.integers(2, 3))
+    vs = _VARS[:n]
+    coeffs = [draw(_poly(n)) for _ in vs]
+    w = DifferentialForm.one_form(coeffs)
+    # v cancels w on a drawn subset of its components
+    v = DifferentialForm.one_form([-c if draw(st.booleans()) else draw(_poly(n))
+                                   for c in coeffs])
+    two = DifferentialForm(vs, 2, {(i, j): draw(_poly(n))
+                                   for i in range(n) for j in range(i + 1, n)})
+    field = [draw(_poly(n)) for _ in vs]
+    return coeffs, w, v, two, field, draw(_poly(n))
+
+
+@_SETTINGS
+@given(_form_cases())
+def test_form_operations_keep_no_zero_components(case):
+    coeffs, w, v, two, field, f = case
+    n = len(coeffs)
+    _assert_form(w, _naive([(((i,), e), c) for i, p in enumerate(coeffs)
+                            for e, c in p.terms.items()]))
+    _assert_form(w + v, _naive([*_flat(w), *_flat(v)]))
+    _assert_form(w + (-w), {})
+    _assert_form(w.wedge(w), {})
+    for a, b in ((w, v), (w, two), (two, w)):
+        _assert_form(a.wedge(b), _naive_wedge(a, b))
+    fn = DifferentialForm.function(f)
+    _assert_form(fn.exterior_d().exterior_d(), {})
+    for form in (fn, w, two):
+        _assert_form(form.exterior_d(), _naive_d(form))
+    for form in (w, two):
+        _assert_form(form.contract(field), _naive_contract(form, field))
+    # the dual field (B, -A, 0, ...) of w = A dx + B dy + ... annihilates w
+    dual = [coeffs[1], -coeffs[0], *[Poly.zero(w.vars)] * (n - 2)]
+    _assert_form(w.contract(dual), {})

@@ -304,6 +304,8 @@ def test_brieskorn_period_identity():
 def test_brieskorn_rejections():
     with pytest.raises(InputError):
         brieskorn_basis(1)
+    with pytest.raises(InputError, match="m <= 24"):
+        brieskorn_basis(25)
     b = brieskorn_basis(3)
     with pytest.raises(InputError):
         brieskorn_reduce(b, DifferentialForm.function(P("x")))

@@ -29,6 +29,18 @@ def test_dir_lists_every_public_name():
     assert set(folia.__all__) <= set(dir(folia))
 
 
+def test_public_names_are_listed_once_and_are_the_lazy_names():
+    assert len(folia.__all__) == len(set(folia.__all__))
+    resolved = set()
+    for name in dir(folia):
+        try:
+            folia.__getattr__(name)
+        except AttributeError:
+            continue
+        resolved.add(name)
+    assert set(folia.__all__) == resolved | {"__version__"}
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         folia.no_such_name

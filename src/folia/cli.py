@@ -28,11 +28,19 @@ Tolerance flags belong to the commands that read them:
 ``--root-residual-tol`` (sing), ``--ratio-band`` (sing, classify, log),
 ``--quadrature-rel-tol`` (melnikov) and ``--holonomy-rtol`` (holonomy).
 
+Each input is checked once.  argparse checks the command name, the
+flags each command takes, their types (a float flag must be finite)
+and choices; ``_check_tolerances`` then requires each tolerance to be
+positive and ``--holonomy-rtol`` to be at least ``MIN_RTOL``.  A
+handler checks the rest before it reads a file: ``melnikov`` its level
+grid (``_linspace``), ``holonomy`` its ``--t`` levels or seed point.
+
 ``--config FILE`` reads a JSON object whose keys mirror the long flag
 names of the chosen subcommand (``{"t0": 0.1, "samples": 9}``); unknown
 keys, and values the flag could not take on the command line (a number
-for a path, a boolean or 9.7 for ``--samples``), are rejected, and
-explicit flags override the file.
+for a path, a boolean or 9.7 for ``--samples``), are rejected.
+Explicit flags override the file; a repeatable flag (``--t``,
+``--factor``, ``--residue``) replaces the file's list.
 """
 
 from __future__ import annotations
@@ -42,70 +50,37 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FoliaError, InputError, NumericError
-from .tolerances import (ATOL, CENTER_BAND, MIN_RTOL, REL_TOL, RESID_ACCEPT,
-                         RTOL, ZERO_THRESHOLD)
+from .tolerances import ATOL, CENTER_BAND, MIN_RTOL, REL_TOL, RESID_ACCEPT, RTOL
 
 COMMANDS = ("sing", "classify", "log", "dulac", "pullback", "integrability",
             "holonomy", "melnikov", "monodromy", "picard-fuchs", "brieskorn",
             "selftest")
 
-__all__ = ["RunConfig", "run", "main", "COMMANDS"]
+__all__ = ["run", "main", "COMMANDS"]
 
 MAX_SAMPLES = 4096  # largest melnikov --samples; the grid is built in memory
 
-# each tolerance field of RunConfig and the commands whose flags set it
+# each tolerance flag's dest: (library default, commands whose flags set it)
 _TOLERANCES = {
-    "root_residual_tol": ("sing",),
-    "ratio_band": ("sing", "classify", "log"),
-    "quadrature_rel_tol": ("melnikov",),
-    "holonomy_rtol": ("holonomy",),
+    "root_residual_tol": (RESID_ACCEPT, ("sing",)),
+    "ratio_band": (CENTER_BAND, ("sing", "classify", "log")),
+    "quadrature_rel_tol": (REL_TOL, ("melnikov",)),
+    "holonomy_rtol": (RTOL, ("holonomy",)),
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything one invocation depends on.
-
-    The tolerances keep the library defaults unless overridden; the
-    grid is only populated by the sweep commands.
-    """
-
-    command: str
-    root_residual_tol: float = RESID_ACCEPT
-    ratio_band: float = CENTER_BAND
-    quadrature_rel_tol: float = REL_TOL
-    holonomy_rtol: float = RTOL
-    grid: tuple = ()
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise InputError(
-                f"unknown command {self.command!r}; commands are "
-                + ", ".join(COMMANDS)
-            )
-        for name in _TOLERANCES:
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 < v < math.inf):
-                raise InputError(
-                    f"{name} must be a positive finite number, got {v!r}")
-        if self.holonomy_rtol < MIN_RTOL:
-            raise InputError(f"holonomy_rtol must be at least {MIN_RTOL!r} "
-                             f"(100 machine epsilons), got {self.holonomy_rtol!r}")
-        if self.output_format not in ("json", "csv"):
-            raise InputError(
-                f"output format must be 'json' or 'csv', got {self.output_format!r}"
-            )
-        if not all(math.isfinite(t) for t in self.grid):
-            raise InputError("the level grid must be finite")
-        if self.command in ("melnikov", "holonomy") and not self.grid:
-            raise InputError(f"{self.command} needs a nonempty level grid")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise InputError("the level grid must be strictly increasing")
+def _check_tolerances(args) -> None:
+    """Each tolerance is positive (its flag type made it finite), and
+    holonomy_rtol is at least the integrator's floor."""
+    for name, v in vars(args).items():
+        if name in _TOLERANCES and not v > 0.0:
+            raise InputError(f"{name} must be a positive finite number, got {v!r}")
+    if getattr(args, "holonomy_rtol", RTOL) < MIN_RTOL:
+        raise InputError(f"holonomy_rtol must be at least {MIN_RTOL!r} "
+                         f"(100 machine epsilons), got {args.holonomy_rtol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,34 +128,31 @@ def _variables_flag(text: str) -> tuple[str, ...]:
     return vs
 
 
-def _linspace(t0: float, t1: float, n: int) -> tuple[float, ...]:
+def _linspace(t0: float, t1: float, n: int) -> list[float]:
+    """The melnikov level grid: 2 to MAX_SAMPLES points, finite, increasing."""
     if n > MAX_SAMPLES:
         raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {n}")
     if n < 2:
         raise InputError("need at least 2 samples")
     step = (t1 - t0) / (n - 1)
-    return tuple(t0 + k * step for k in range(n))
+    grid = [t0 + k * step for k in range(n)]
+    if not all(map(math.isfinite, grid)):
+        raise InputError("the level grid must be finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError("the level grid must be strictly increasing")
+    return grid
 
 
 def _point_payload(sp) -> dict:
-    out = {
+    return {
         "x": complex(sp.x), "y": complex(sp.y),
         "class": sp.classification, "residual": float(sp.residual),
         "notes": list(sp.notes),
+        "eigenvalue_ratio": (complex(sp.eigenvalue_ratio)
+                             if sp.eigenvalue_ratio is not None else None),
+        "eigenvalues": ([complex(l) for l in sp.eigenvalues]
+                        if sp.eigenvalues is not None else None),
     }
-    out["eigenvalue_ratio"] = (complex(sp.eigenvalue_ratio)
-                               if sp.eigenvalue_ratio is not None else None)
-    out["eigenvalues"] = ([complex(l) for l in sp.eigenvalues]
-                          if sp.eigenvalues is not None else None)
-    return out
-
-
-def _default_center(record) -> tuple[float, float]:
-    from .foliation import first_real_center
-    center = first_real_center(record)
-    if center is None:
-        raise InputError("the record has no real center candidate; pass --center")
-    return center
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +160,7 @@ def _default_center(record) -> tuple[float, float]:
 # when the command has no CSV projection
 
 
-def _cmd_sing(args, cfg: RunConfig):
+def _cmd_sing(args):
     from .foliation import (classify_singularity, find_singularities,
                             residual_scale)
     from .formats import load_record
@@ -198,14 +170,14 @@ def _cmd_sing(args, cfg: RunConfig):
         # the finder accepts by a residual relative to the field's scale
         # at the point; the gate compares on that same scale
         scale = residual_scale(record, sp.x, sp.y)
-        if sp.residual > cfg.root_residual_tol * scale:
+        if sp.residual > args.root_residual_tol * scale:
             raise NumericError(
                 f"singular point near ({sp.x}, {sp.y}) has residual "
                 f"{sp.residual:.3e} above the gate "
-                f"{cfg.root_residual_tol:.3e} relative to the field's scale"
+                f"{args.root_residual_tol:.3e} relative to the field's scale"
             )
     payload = [_point_payload(classify_singularity(record, sp.location,
-                                                   band=cfg.ratio_band))
+                                                   band=args.ratio_band))
                for sp in points]
     rows = [{"x_re": p["x"].real, "x_im": p["x"].imag,
              "y_re": p["y"].real, "y_im": p["y"].imag,
@@ -213,17 +185,17 @@ def _cmd_sing(args, cfg: RunConfig):
     return payload, rows, ("x_re", "x_im", "y_re", "y_im", "class")
 
 
-def _cmd_classify(args, cfg: RunConfig):
+def _cmd_classify(args):
     from .foliation import classify_singularity
     from .formats import load_record
     record = load_record(args.form)
     pt = classify_singularity(record, (_cpoint(args.x, "--x"),
                                        _cpoint(args.y, "--y")),
-                              band=cfg.ratio_band)
+                              band=args.ratio_band)
     return _point_payload(pt), None, None
 
 
-def _cmd_log(args, cfg: RunConfig):
+def _cmd_log(args):
     from .foliation import count_centers, expected_center_count, logarithmic
     from .formats import canonical_json, parse_residue, record_payload
     from .poly import parse_poly
@@ -238,7 +210,7 @@ def _cmd_log(args, cfg: RunConfig):
     factors = [parse_poly(f, vs) for f in args.factor]
     record = logarithmic(factors,
                          [parse_residue(r, "--residue") for r in residues])
-    census = count_centers(record, band=cfg.ratio_band)
+    census = count_centers(record, band=args.ratio_band)
     payload = {
         "factors": [str(f) for f in factors],
         "residues": [str(r) for r in record.log_spec.residues],
@@ -256,7 +228,7 @@ def _cmd_log(args, cfg: RunConfig):
     return payload, None, None
 
 
-def _cmd_dulac(args, cfg: RunConfig):
+def _cmd_dulac(args):
     from .foliation import dulac_family
     vs = _variables_flag(args.variables)
     record = dulac_family(args.family, args.index, vs)
@@ -272,7 +244,7 @@ def _cmd_dulac(args, cfg: RunConfig):
     return payload, None, None
 
 
-def _cmd_pullback(args, cfg: RunConfig):
+def _cmd_pullback(args):
     from .foliation import pullback_form
     from .formats import load_form, load_map
     phi = load_map(args.map)
@@ -286,7 +258,7 @@ def _cmd_pullback(args, cfg: RunConfig):
     return payload, None, None
 
 
-def _cmd_integrability(args, cfg: RunConfig):
+def _cmd_integrability(args):
     from .foliation import integrability_obstruction
     from .formats import load_form
     omega = load_form(args.form)
@@ -297,11 +269,16 @@ def _cmd_integrability(args, cfg: RunConfig):
     return payload, None, None
 
 
-def _cmd_holonomy(args, cfg: RunConfig):
+def _cmd_holonomy(args):
+    if args.seed_point is not None and args.t:
+        raise InputError("pass either --t levels or --seed-point, not both")
+    if args.seed_point is None and not args.t:
+        raise InputError("holonomy needs a nonempty level grid")
     from .flow import cycle_through_level, holonomy, parallel_map, trace_cycle
+    from .foliation import first_real_center
     from .formats import load_record
     record = load_record(args.form)
-    rtol, atol = cfg.holonomy_rtol, min(cfg.holonomy_rtol, ATOL)
+    rtol, atol = args.holonomy_rtol, min(args.holonomy_rtol, ATOL)
 
     if args.seed_point is not None:
         seed = _point(args.seed_point, "--seed-point")
@@ -318,7 +295,9 @@ def _cmd_holonomy(args, cfg: RunConfig):
             "use --seed-point for other records"
         )
     center = (_point(args.center, "--center") if args.center
-              else _default_center(record))
+              else first_real_center(record))
+    if center is None:
+        raise InputError("the record has no real center candidate; pass --center")
     direction = (_point(args.direction, "--direction") if args.direction
                  else (1.0, 0.0))
 
@@ -328,42 +307,32 @@ def _cmd_holonomy(args, cfg: RunConfig):
         return {"t": h.t_in, "h": h.t_out, "defect": h.t_out - h.t_in,
                 "s_return": h.s_return}
 
-    rows = parallel_map(sample, cfg.grid)
+    rows = parallel_map(sample, sorted(set(args.t)))
     payload = {"center": list(center), "samples": rows}
     return payload, rows, ("t", "h", "defect", "s_return")
 
 
-def _cmd_melnikov(args, cfg: RunConfig):
-    from .flow import parallel_map
+def _cmd_melnikov(args):
+    grid = _linspace(args.t0, args.t1, args.samples)
     from .formats import load_form, load_record
-    from .melnikov import m1, m1_sweep, make_problem
+    from .melnikov import m1_sweep, make_problem
     record = load_record(args.base)
     omega1 = load_form(args.pert, record.vars)
     center = _point(args.center, "--center") if args.center else None
     problem = make_problem(record, omega1, center=center)
-    if len(cfg.grid) >= 4:
-        sweep = m1_sweep(problem, list(cfg.grid), rel_tol=cfg.quadrature_rel_tol)
-        values = list(sweep.values)
-        multiplicity = sweep.multiplicity
-        identically_zero = sweep.identically_zero
-    else:
-        # too few points for the multiplicity fit; report plain values
-        values = parallel_map(
-            lambda t: m1(problem, t, rel_tol=cfg.quadrature_rel_tol), cfg.grid)
-        multiplicity = None
-        identically_zero = all(abs(v) < ZERO_THRESHOLD for v in values)
-    rows = [{"t": t, "m1": v} for t, v in zip(cfg.grid, values)]
+    sweep = m1_sweep(problem, grid, rel_tol=args.quadrature_rel_tol)
+    rows = [{"t": t, "m1": v} for t, v in zip(grid, sweep.values)]
     payload = {
         "center_level": problem.center_level,
-        "grid": list(cfg.grid),
-        "m1": values,
-        "multiplicity": multiplicity,
-        "identically_zero": identically_zero,
+        "grid": grid,
+        "m1": sweep.values,
+        "multiplicity": sweep.multiplicity,
+        "identically_zero": sweep.identically_zero,
     }
     return payload, rows, ("t", "m1")
 
 
-def _cmd_monodromy(args, cfg: RunConfig):
+def _cmd_monodromy(args):
     from .monodromy import (build_model, cycle_at_infinity,
                             monodromy_generators, orbit_span)
     from .poly import parse_poly
@@ -389,7 +358,7 @@ def _cmd_monodromy(args, cfg: RunConfig):
     return payload, None, None
 
 
-def _cmd_picard_fuchs(args, cfg: RunConfig):
+def _cmd_picard_fuchs(args):
     from .gaussmanin import picard_fuchs
     from .poly import parse_poly
     p = parse_poly(args.p, (args.var,))
@@ -406,7 +375,7 @@ def _cmd_picard_fuchs(args, cfg: RunConfig):
     return payload, None, None
 
 
-def _cmd_brieskorn(args, cfg: RunConfig):
+def _cmd_brieskorn(args):
     from .brieskorn import brieskorn_basis, brieskorn_reduce
     from .formats import load_form
     basis = brieskorn_basis(args.m)
@@ -429,6 +398,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+class _Repeat(argparse._AppendAction):
+    """``append`` whose first value replaces the default (a config) list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is self.default:
+            setattr(namespace, self.dest, [])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _build_parsers():
     common = _Parser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -439,50 +417,51 @@ def _build_parsers():
     sub = top.add_subparsers(dest="command")
     parsers = {}
 
-    def add(name, **kw):
+    def add(name, handler, **kw):
         p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kw)
-        for dest, commands in _TOLERANCES.items():
+        p.set_defaults(handler=handler)
+        for dest, (default, commands) in _TOLERANCES.items():
             if name in commands:
-                # unset flags leave the RunConfig default in place
                 p.add_argument("--" + dest.replace("_", "-"),
-                               type=_finite_float, default=argparse.SUPPRESS)
+                               type=_finite_float, default=default)
         parsers[name] = p
         return p
 
-    p = add("sing", help="find and classify the singular points of a record")
+    p = add("sing", _cmd_sing, help="find and classify the singular points of a record")
     p.add_argument("--form", required=True, help="record file")
 
-    p = add("classify", help="classify one singular point")
+    p = add("classify", _cmd_classify, help="classify one singular point")
     p.add_argument("--form", required=True)
     p.add_argument("--x", required=True, help="x coordinate, 're' or 're,im'")
     p.add_argument("--y", required=True, help="y coordinate, 're' or 're,im'")
 
-    p = add("log", help="build a logarithmic record and run its center census")
-    p.add_argument("--factor", action="append", default=[])
-    p.add_argument("--residue", action="append", default=[])
+    p = add("log", _cmd_log,
+            help="build a logarithmic record and run its center census")
+    p.add_argument("--factor", action=_Repeat, default=[])
+    p.add_argument("--residue", action=_Repeat, default=[])
     p.add_argument("--variables", default="x,y")
     p.add_argument("--out", default=None, help="write the record file here")
 
-    p = add("dulac", help="emit a Dulac-family record")
+    p = add("dulac", _cmd_dulac, help="emit a Dulac-family record")
     p.add_argument("--family", required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--variables", default="x,y")
 
-    p = add("pullback", help="pull a 1-form back along a polynomial map")
+    p = add("pullback", _cmd_pullback, help="pull a 1-form back along a polynomial map")
     p.add_argument("--map", required=True)
     p.add_argument("--form", required=True)
 
-    p = add("integrability", help="check w ^ dw = 0 for a 1-form")
+    p = add("integrability", _cmd_integrability, help="check w ^ dw = 0 for a 1-form")
     p.add_argument("--form", required=True)
 
-    p = add("holonomy", help="return map along level cycles")
+    p = add("holonomy", _cmd_holonomy, help="return map along level cycles")
     p.add_argument("--form", required=True)
-    p.add_argument("--t", action="append", type=_finite_float, default=[])
+    p.add_argument("--t", action=_Repeat, type=_finite_float, default=[])
     p.add_argument("--seed-point", default=None)
     p.add_argument("--center", default=None)
     p.add_argument("--direction", default=None)
 
-    p = add("melnikov", help="first Melnikov function over a level grid")
+    p = add("melnikov", _cmd_melnikov, help="first Melnikov function over a level grid")
     p.add_argument("--base", required=True)
     p.add_argument("--pert", required=True)
     p.add_argument("--t0", type=_finite_float, required=True)
@@ -490,15 +469,18 @@ def _build_parsers():
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--center", default=None)
 
-    p = add("monodromy", help="Picard-Lefschetz operators of y^2 = p(x) + t")
+    p = add("monodromy", _cmd_monodromy,
+            help="Picard-Lefschetz operators of y^2 = p(x) + t")
     p.add_argument("--p", required=True)
     p.add_argument("--var", default="x")
 
-    p = add("picard-fuchs", help="exact Gauss-Manin connection matrix")
+    p = add("picard-fuchs", _cmd_picard_fuchs,
+            help="exact Gauss-Manin connection matrix")
     p.add_argument("--p", required=True)
     p.add_argument("--var", default="x")
 
-    p = add("brieskorn", help="reduce a 1-form in the Brieskorn basis of y^2 - x^m")
+    p = add("brieskorn", _cmd_brieskorn,
+            help="reduce a 1-form in the Brieskorn basis of y^2 - x^m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--omega", required=True)
 
@@ -512,30 +494,18 @@ def _build_parsers():
     return top, parsers
 
 
-_HANDLERS = {
-    "sing": _cmd_sing,
-    "classify": _cmd_classify,
-    "log": _cmd_log,
-    "dulac": _cmd_dulac,
-    "pullback": _cmd_pullback,
-    "integrability": _cmd_integrability,
-    "holonomy": _cmd_holonomy,
-    "melnikov": _cmd_melnikov,
-    "monodromy": _cmd_monodromy,
-    "picard-fuchs": _cmd_picard_fuchs,
-    "brieskorn": _cmd_brieskorn,
-}
-
-
-def _fits(value, flag_type) -> bool:
+def _fits(value, action) -> bool:
     """Whether a JSON value is one the flag could take on the command
-    line: a string for untyped flags, an integer for ``int`` flags, a
-    number for the float flags; never a boolean, null or container."""
+    line: one of its choices, a string for untyped flags, an integer for
+    ``int`` flags, a number for the float flags; never a boolean, null or
+    container."""
     if isinstance(value, bool):
         return False
-    if flag_type is None:
+    if action.choices is not None:
+        return value in action.choices
+    if action.type is None:
         return isinstance(value, str)
-    if flag_type is int:
+    if action.type is int:
         return isinstance(value, int)
     return isinstance(value, (int, float))
 
@@ -567,9 +537,10 @@ def _apply_config(argv: list, parsers: dict, command: str):
         takes_list = isinstance(action, argparse._AppendAction)
         values = value if isinstance(value, list) else [value]
         if (isinstance(value, list) != takes_list
-                or not all(_fits(v, action.type) for v in values)):
+                or not all(_fits(v, action) for v in values)):
             shape = "a list of single values" if takes_list else "a single value"
-            kind = {None: "a string", int: "an integer"}.get(action.type, "a number")
+            kind = (" or ".join(map(repr, action.choices)) if action.choices else
+                    {None: "a string", int: "an integer"}.get(action.type, "a number"))
             raise InputError(f"{path}: config key {key!r} takes {shape} "
                              f"({'each ' if takes_list else ''}{kind}), "
                              f"got {value!r}")
@@ -580,23 +551,8 @@ def _apply_config(argv: list, parsers: dict, command: str):
             except argparse.ArgumentTypeError as e:
                 raise InputError(f"{path}: bad value for {key!r}: {e}") from e
         overrides[dest] = value
+        action.required = False     # a value from the config satisfies it
     parser.set_defaults(**overrides)
-    # a value from the config satisfies a required flag
-    for action in parser._actions:
-        if action.dest in overrides:
-            action.required = False
-
-
-def _grid_from_args(command: str, args) -> tuple[float, ...]:
-    if command == "melnikov":
-        return _linspace(args.t0, args.t1, args.samples)
-    if command == "holonomy":
-        if args.seed_point is not None:
-            if args.t:
-                raise InputError("pass either --t levels or --seed-point, not both")
-            return (0.0,)  # placeholder; seed-point mode ignores the grid
-        return tuple(sorted(set(float(t) for t in args.t)))
-    return ()
 
 
 def _selftest(args) -> int:
@@ -625,26 +581,20 @@ def run(argv) -> int:
     top, parsers = _build_parsers()
     if not argv:
         raise InputError("no command given; commands are " + ", ".join(COMMANDS))
-    if argv[0] not in COMMANDS and argv[0] not in ("-h", "--help"):
-        raise InputError(
-            f"unknown command {argv[0]!r}; commands are " + ", ".join(COMMANDS)
-        )
     if argv[0] in COMMANDS:
         _apply_config(argv[1:], parsers, argv[0])
+    elif argv[0] not in ("-h", "--help"):
+        raise InputError(
+            f"unknown command {argv[0]!r}; commands are " + ", ".join(COMMANDS))
     args = top.parse_args(argv)
 
     if args.command == "selftest":
         return _selftest(args)
 
-    cfg = RunConfig(
-        command=args.command,
-        grid=_grid_from_args(args.command, args),
-        output_format=args.format,
-        **{k: v for k, v in vars(args).items() if k in _TOLERANCES},
-    )
+    _check_tolerances(args)
     from .formats import canonical_json, rows_to_csv
-    payload, rows, columns = _HANDLERS[args.command](args, cfg)
-    if cfg.output_format == "csv":
+    payload, rows, columns = args.handler(args)
+    if args.format == "csv":
         if rows is None:
             raise InputError(
                 f"{args.command} has no tabular projection; use --format json"

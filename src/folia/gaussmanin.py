@@ -66,19 +66,25 @@ def _seg_dist(z: complex, a: complex, b: complex) -> float:
     return abs(z - (a + s * ab))
 
 
+def _clearance(roots: np.ndarray, k: int) -> float | None:
+    """Distance from the segment roots[k], roots[k+1] to the nearest
+    other root; None when there is no other root."""
+    others = np.delete(roots, [k, k + 1])
+    return min((_seg_dist(z, roots[k], roots[k + 1]) for z in others),
+               default=None)
+
+
 def _pair_contour(roots: np.ndarray, pair: int):
     """Ellipse around the branch pair (pair, pair+1), clear of the rest.
 
     Returns (z(theta), dz(theta)) as vectorized callables on [0, 2pi).
     """
     r1, r2 = roots[pair], roots[pair + 1]
-    others = np.delete(roots, [pair, pair + 1])
     gap = abs(r2 - r1)
     if gap == 0.0:
         raise NumericError("coincident branch points; no separating contour")
-    if len(others):
-        clear = min(_seg_dist(z, r1, r2) for z in others)
-    else:
+    clear = _clearance(roots, pair)
+    if clear is None:
         clear = max(gap, 1.0)
     if clear <= 1e-12 * (1.0 + float(np.max(np.abs(roots)))):
         raise NumericError("a third branch point sits on the pair segment")
@@ -100,12 +106,9 @@ def _best_pair(roots: np.ndarray) -> int:
     """Consecutive pair (in (Re, Im) order) with the widest clearance."""
     best, score = 0, -1.0
     for k in range(len(roots) - 1):
-        others = np.delete(roots, [k, k + 1])
-        if len(others):
-            cl = min(_seg_dist(z, roots[k], roots[k + 1]) for z in others)
-        else:
-            cl = 1.0
-        cl = cl / max(abs(roots[k + 1] - roots[k]), 1e-300)
+        gap = max(abs(roots[k + 1] - roots[k]), 1e-300)
+        cl = _clearance(roots, k)
+        cl = (1.0 if cl is None else cl) / gap
         if cl > score:
             best, score = k, cl
     return best

@@ -326,16 +326,17 @@ def m1_sweep(problem: MelnikovProblem, grid: Sequence[float],
     The multiplicity is the slope of log|M1| against log|t - t_center|
     fitted over the smallest available decade of distances, rounded to
     the nearest integer.  All-below-threshold values set the
-    identically-zero flag instead.
+    identically-zero flag instead; fewer than 4 points get no fit.
     """
     grid = [float(t) for t in grid]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("the level grid must be strictly increasing")
     values = [m1(problem, t, rel_tol=rel_tol) for t in grid]
 
-    if all(abs(v) < ZERO_THRESHOLD for v in values):
+    zero = all(abs(v) < ZERO_THRESHOLD for v in values)
+    if zero or len(grid) < 4:
         return MelnikovSamples(grid=grid, values=values, multiplicity=None,
-                               fit_residual=None, identically_zero=True,
+                               fit_residual=None, identically_zero=zero,
                                center_level=problem.center_level)
 
     tc = problem.center_level

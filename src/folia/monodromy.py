@@ -231,8 +231,11 @@ def build_model(p: Poly, base: float | None = None) -> FibrationModel:
     """Critical values of y^2 - p(x), base fiber data, and the chain lattice.
 
     The base point is real, left of every critical value by at least one
-    unit; critical values are listed by angle seen from the base (ties
-    by distance), branch points by (Re, Im).
+    unit; branch points are listed by (Re, Im), critical values by
+    ``cmath.phase(c - base)``, then distance.  Real critical values keep
+    imaginary noise (about 1e-155) from the Newton polish, whose sign
+    orders them, so the list need not follow the paths' cyclic order
+    (ROADMAP item 10).
     """
     coeffs = _real_fraction_coeffs(p)
     m = len(coeffs) - 1
@@ -625,6 +628,11 @@ def monodromy_generators(model: FibrationModel) -> list[MonodromyOperator]:
 
 # ---- orbits and the cycle at infinity ----------------------------------------
 
+def _moves(operators: Sequence[MonodromyOperator]) -> list:
+    """The steps of an orbit search: each operator's matrix, then its inverse."""
+    return [mat for op in operators for mat in (op.matrix, op.inverse())]
+
+
 def orbit_span(model: FibrationModel, operators: Sequence[MonodromyOperator],
                start: Sequence[int]) -> OrbitReport:
     """Closure of the start cycle under all operators and inverses.
@@ -640,16 +648,16 @@ def orbit_span(model: FibrationModel, operators: Sequence[MonodromyOperator],
     rows: list[list[int]] = [v0]
     basis = hermite_basis(rows)
     queue = [v0]
+    moves = _moves(operators)
     while queue:
         v = queue.pop(0)
-        for op in operators:
-            for mat in (op.matrix, op.inverse()):
-                w = _mat_vec(mat, v)
-                trial = hermite_basis(rows + [w])
-                if len(trial) > len(basis):
-                    rows.append(w)
-                    basis = trial
-                    queue.append(w)
+        for mat in moves:
+            w = _mat_vec(mat, v)
+            trial = hermite_basis(rows + [w])
+            if len(trial) > len(basis):
+                rows.append(w)
+                basis = trial
+                queue.append(w)
     return OrbitReport(start=tuple(v0), generators=tuple(operators),
                        basis=tuple(basis), rank=len(basis))
 
@@ -660,15 +668,15 @@ def orbit_ball(operators: Sequence[MonodromyOperator], start: Sequence[int],
     length (the finite stand-in for the full orbit set)."""
     seen = {tuple(int(a) for a in start)}
     frontier = list(seen)
+    moves = _moves(operators)
     for _ in range(word_length):
         nxt = []
         for v in frontier:
-            for op in operators:
-                for mat in (op.matrix, op.inverse()):
-                    w = tuple(_mat_vec(mat, list(v)))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
+            for mat in moves:
+                w = tuple(_mat_vec(mat, list(v)))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
         frontier = nxt
     return sorted(seen)
 

@@ -15,7 +15,6 @@ import time
 import pytest
 
 from folia import cli, ode
-from folia.cli import RunConfig
 from folia.errors import InputError, NumericError
 from folia.poly import parse_poly
 
@@ -220,6 +219,27 @@ def test_explicit_flag_beats_config(capsys, tmp_path, circle_file, rot_file):
     assert code == 0 and len(doc["grid"]) == 5
 
 
+def test_explicit_repeatable_flag_replaces_the_config_list(capsys, tmp_path,
+                                                           circle_file):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"t": [0.25]}')
+    code, doc = run_json(capsys, ["holonomy", "--form", circle_file,
+                                  "--config", str(cfg), "--t", "0.5"])
+    assert code == 0 and [row["t"] for row in doc["samples"]] == [0.5]
+    # without the flag the file's list stands
+    code, doc = run_json(capsys, ["holonomy", "--form", circle_file,
+                                  "--config", str(cfg)])
+    assert code == 0 and [row["t"] for row in doc["samples"]] == [0.25]
+    cfg.write_text('{"factor": ["x", "y"]}')
+    code, doc = run_json(capsys, ["log", "--config", str(cfg),
+                                  "--factor", "1 - x - y"])
+    assert code == 0 and doc["factors"] == ["-x - y + 1"]
+    # two explicit flags still both count
+    code, doc = run_json(capsys, ["log", "--config", str(cfg),
+                                  "--factor", "x", "--factor", "1 - x - y"])
+    assert code == 0 and doc["factors"] == ["x", "-x - y + 1"]
+
+
 def test_config_unknown_key_rejected(tmp_path, circle_file, rot_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"tzero": 0.1}')
@@ -265,6 +285,8 @@ def test_config_value_of_the_wrong_type_rejected(capsys, tmp_path, circle_file,
         (["sing"], '{"form": null}', "'form' takes a single value (a string)"),
         (["log"], '{"factor": ["x", "y", 1]}',
          "'factor' takes a list of single values (each a string)"),
+        (["dulac", "--family", "A", "--index", "1"], '{"format": "yaml"}',
+         "'format' takes a single value ('json' or 'csv'), got 'yaml'"),
     ]
     for argv, text, message in cases:
         cfg.write_text(text)
@@ -276,7 +298,7 @@ def test_config_value_of_the_wrong_type_rejected(capsys, tmp_path, circle_file,
     assert code == 0 and len(doc["grid"]) == 3
 
 
-# ---- errors and the RunConfig contract -----------------------------------------
+# ---- errors and the input rules -------------------------------------------------
 
 
 def test_unknown_command_rejected():
@@ -323,23 +345,79 @@ def test_csv_rejected_without_projection():
         cli.run(["dulac", "--family", "B1", "--index", "1", "--format", "csv"])
 
 
-def test_runconfig_invariants():
-    cfg = RunConfig(command="sing")
-    assert cfg.output_format == "json"
-    with pytest.raises(InputError, match="positive"):
-        RunConfig(command="sing", ratio_band=-1.0)
-    with pytest.raises(InputError, match="format"):
-        RunConfig(command="sing", output_format="yaml")
-    with pytest.raises(InputError, match="unknown command"):
-        RunConfig(command="bogus")
-    with pytest.raises(InputError, match="nonempty"):
-        RunConfig(command="melnikov")
-    with pytest.raises(InputError, match="strictly increasing"):
-        RunConfig(command="melnikov", grid=(1.0, 0.5))
-    with pytest.raises(InputError, match="finite"):
-        RunConfig(command="sing", holonomy_rtol=math.inf)
-    with pytest.raises(InputError, match="finite"):
-        RunConfig(command="holonomy", grid=(0.5, math.nan))
+def test_input_rules_on_argv(circle_file, rot_file):
+    melnikov = ["melnikov", "--base", circle_file, "--pert", rot_file]
+    cases = [
+        (["sing", "--form", circle_file, "--ratio-band", "-1"], "positive"),
+        (["sing", "--form", circle_file, "--format", "yaml"], "format"),
+        (["bogus"], "unknown command"),
+        (["holonomy", "--form", circle_file], "nonempty"),
+        ([*melnikov, "--t0", "1", "--t1", "0.5", "--samples", "3"],
+         "strictly increasing"),
+        (["holonomy", "--form", circle_file, "--seed-point", "1,0",
+          "--holonomy-rtol", "inf"], "finite"),
+        (["holonomy", "--form", circle_file, "--t", "0.5", "--t", "nan"],
+         "finite"),
+        ([*melnikov, "--t0=-1e308", "--t1", "1e308", "--samples", "3"],
+         "finite"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(InputError, match=message):
+            cli.run(argv)
+
+
+def test_each_input_rule_prints_its_own_json_line(monkeypatch, capsys,
+                                                  tmp_path, circle_file,
+                                                  rot_file):
+    melnikov = ["melnikov", "--base", circle_file, "--pert", rot_file]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"ratio_band": 0}')
+    floor = "at least 2.220446049250313e-14 (100 machine epsilons)"
+    cases = [
+        ([*melnikov, "--t0=-1e308", "--t1", "1e308", "--samples", "3"],
+         "the level grid must be finite"),
+        ([*melnikov, "--t0", "1", "--t1", "0.5", "--samples", "3"],
+         "the level grid must be strictly increasing"),
+        ([*melnikov, "--t0", "0.5", "--t1", "0.5", "--samples", "3"],
+         "the level grid must be strictly increasing"),
+        # a missing base file: the grid is checked before any file is read
+        (["melnikov", "--base", str(tmp_path / "none.json"), "--pert",
+          rot_file, "--t0", "1", "--t1", "0.5", "--samples", "3"],
+         "the level grid must be strictly increasing"),
+        ([*melnikov, "--t0", "0.1", "--t1", "1", "--samples", "1"],
+         "need at least 2 samples"),
+        ([*melnikov, "--t0", "0.1", "--t1", "1", "--samples", "4097"],
+         "--samples must be at most 4096, got 4097"),
+        ([*melnikov, "--t0", "0.1", "--t1", "1", "--samples", "5",
+          "--quadrature-rel-tol", "0"],
+         "quadrature_rel_tol must be a positive finite number, got 0.0"),
+        (["sing", "--form", circle_file, "--ratio-band", "0"],
+         "ratio_band must be a positive finite number, got 0.0"),
+        (["sing", "--form", circle_file, "--config", str(cfg)],
+         "ratio_band must be a positive finite number, got 0.0"),
+        (["sing", "--form", circle_file, "--root-residual-tol", "-1"],
+         "root_residual_tol must be a positive finite number, got -1.0"),
+        (["holonomy", "--form", circle_file, "--seed-point", "1,0",
+          "--holonomy-rtol", "1e-16"],
+         f"holonomy_rtol must be {floor}, got 1e-16"),
+        (["holonomy", "--form", circle_file],
+         "holonomy needs a nonempty level grid"),
+        (["holonomy", "--form", str(tmp_path / "none.json")],
+         "holonomy needs a nonempty level grid"),
+        (["holonomy", "--form", circle_file, "--t", "0.5",
+          "--seed-point", "1,0"],
+         "pass either --t levels or --seed-point, not both"),
+        (["dulac", "--family", "B1", "--index", "1", "--format", "yaml"],
+         "argument --format: invalid choice: 'yaml' (choose from 'json', 'csv')"),
+    ]
+    for argv, message in cases:
+        monkeypatch.setattr(sys, "argv", ["folia", *argv])
+        with pytest.raises(SystemExit) as ei:
+            cli.main()
+        assert ei.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == json.dumps({"error": message, "exit_code": 2}) + "\n"
 
 
 def test_tolerance_flags_belong_to_their_commands():
@@ -433,10 +511,10 @@ def test_melnikov_samples_are_bounded(monkeypatch, capsys, circle_file,
 
 
 def test_main_maps_unexpected_exceptions_to_exit_3(monkeypatch, capsys):
-    def boom(args, cfg):
+    def boom(args):
         raise RuntimeError("unexpected")
 
-    monkeypatch.setitem(cli._HANDLERS, "monodromy", boom)
+    monkeypatch.setattr(cli, "_cmd_monodromy", boom)
     monkeypatch.setattr(sys, "argv", ["folia", "monodromy", "--p", "x^3 - 3*x"])
     with pytest.raises(SystemExit) as ei:
         cli.main()
@@ -546,7 +624,8 @@ def test_holonomy_rtol_at_the_floor_is_accepted(capsys, circle_file):
                                   "--holonomy-rtol", "2.3e-14"])
     assert code == 0 and abs(doc["defect"]) < 1e-8
     with pytest.raises(InputError, match="holonomy_rtol"):
-        RunConfig(command="holonomy", grid=(0.5,), holonomy_rtol=2.2e-14)
+        cli.run(["holonomy", "--form", circle_file, "--seed-point", "1,0",
+                 "--holonomy-rtol", "2.2e-14"])
 
 
 def test_output_bytes_independent_of_thread_env(tmp_path):

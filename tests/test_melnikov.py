@@ -222,12 +222,26 @@ def test_unsupported_records_rejected():
         make_problem(dulac_family("A", 1, XY), form("0", "x"))
 
 
+def test_short_grids_get_values_without_a_fit():
+    prob = make_problem(CIRCLE, form("0", "x"), center=(0.0, 0.0))
+    for grid in ([0.25, 0.5], [0.2, 0.4, 0.6]):
+        sweep = m1_sweep(prob, grid)
+        assert sweep.multiplicity is None and sweep.fit_residual is None
+        assert sweep.identically_zero is False
+        assert sweep.values == [m1(prob, t) for t in grid]
+    exact = make_problem(CIRCLE, form("x", "y"), center=(0.0, 0.0))
+    sweep = m1_sweep(exact, [0.2, 0.4, 0.6])
+    assert sweep.identically_zero is True and sweep.multiplicity is None
+
+
 def test_bad_grids_rejected():
     prob = make_problem(CIRCLE, form("0", "x"), center=(0.0, 0.0))
     with pytest.raises(InputError):
         m1_sweep(prob, [0.5, 0.4, 0.6])
     with pytest.raises(InputError):
         m1_sweep(prob, [0.5])
+    with pytest.raises(InputError):
+        m1_sweep(prob, [0.6, 0.4])
 
 
 def test_tangency_verdicts():

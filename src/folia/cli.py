@@ -272,6 +272,12 @@ def _cmd_integrability(args):
 def _cmd_holonomy(args):
     if args.seed_point is not None and args.t:
         raise InputError("pass either --t levels or --seed-point, not both")
+    unused = [flag for flag, value in (("--center", args.center),
+                                       ("--direction", args.direction))
+              if value is not None]
+    if args.seed_point is not None and unused:
+        raise InputError("--seed-point traces one given cycle; drop "
+                         + " and ".join(unused) + ", used only by --t level sweeps")
     if args.seed_point is None and not args.t:
         raise InputError("holonomy needs a nonempty level grid")
     from .flow import cycle_through_level, holonomy, parallel_map, trace_cycle
@@ -513,8 +519,12 @@ def _fits(value, action) -> bool:
 def _apply_config(argv: list, parsers: dict, command: str):
     """Merge --config file values in as subparser defaults."""
     from .formats import load_json_file
+    parser = parsers[command]
+    known = {a.dest for a in parser._actions}
     path = None
     for i, tok in enumerate(argv):
+        if "config" not in known and tok.split("=", 1)[0] == "--config":
+            raise InputError(f"{command} takes no --config")
         if tok == "--config":
             if i + 1 >= len(argv):
                 raise InputError("--config needs a file path")
@@ -526,8 +536,6 @@ def _apply_config(argv: list, parsers: dict, command: str):
     doc = load_json_file(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: config files must hold a JSON object")
-    parser = parsers[command]
-    known = {a.dest for a in parser._actions}
     overrides = {}
     for key, value in doc.items():
         dest = key.replace("-", "_")

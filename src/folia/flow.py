@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .foliation import FoliationRecord, residual_scale
-from .ode import brentq, solve_ivp
+from .ode import _interpolate, brentq, solve_ivp
 from .poly import Poly
 from .tolerances import ATOL, RTOL
 
@@ -200,27 +200,37 @@ def _integrate_to_section(rhs: Callable, z0: np.ndarray, section: Transversal,
 
 
 class _PiecewisePath:
-    """Dense trajectory assembled from consecutive solve_ivp solutions."""
+    """Dense trajectory assembled from consecutive solve_ivp solutions, the
+    steps of every piece stacked once, so that a call is one gather."""
 
     def __init__(self, pieces, period):
-        self.pieces = pieces
         self.period = period
         self.starts = np.array([p[0] for p in pieces])
+        self.spans = np.array([p[1] - p[0] for p in pieces])
+        steps = [p[2].stacked() for p in pieces]
+        self.t_old, self.h, self.F, self.y_old = map(np.concatenate,
+                                                     zip(*steps))
+        n_steps = np.array([len(s[1]) for s in steps])
+        ends = np.cumsum(n_steps)
+        self.first, self.last = ends - n_steps, ends - 1
+        # complex numbers sort by real part, then imaginary part, so one
+        # search over (piece, step boundary) keys finds each piece's own
+        # step; piece k's n steps have n + 1 boundaries, so the search
+        # lands k + 1 keys past the step's stacked index
+        self.keys = np.concatenate([k + 1j * p[2].ts
+                                    for k, p in enumerate(pieces)])
 
     def __call__(self, tau):
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         tau = np.clip(tau, 0.0, self.period)
         idx = np.searchsorted(self.starts, tau, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        out = np.empty((2, tau.size))
-        for k in range(len(self.pieces)):
-            mask = idx == k
-            if not np.any(mask):
-                continue
-            t0, t1, sol = self.pieces[k]
-            local = np.clip(tau[mask] - t0, 0.0, t1 - t0)
-            out[:, mask] = sol(local)
-        return out
+        idx = np.clip(idx, 0, len(self.starts) - 1)
+        local = np.clip(tau - self.starts[idx], 0.0, self.spans[idx])
+        # the step the piece's own OdeSolution would pick for ``local``
+        pos = np.searchsorted(self.keys, idx + 1j * local, side="left")
+        seg = np.clip(pos - idx - 1, self.first[idx], self.last[idx])
+        x = ((local - self.t_old[seg]) / self.h[seg])[:, None]
+        return _interpolate(x, self.F[seg], self.y_old[seg]).T
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ COLLISION_REL = 1e-9
 RETURN_TOL = 1e-8
 TIE_REL = 1e-9
 EIG_BLOCK = 64
+ANCHOR_STRIDE = 16
+ABERTH_SWEEPS = 4
+CERT_REL = 1e-13
+CONT_BLOCK = 256
 _self = sys.modules[__name__]  # a bare global read never reaches __getattr__
 
 
@@ -389,6 +393,69 @@ def _roots_along(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out[back]
 
 
+def _aberth_certified(coeffs: np.ndarray, ts: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    """Run ``ABERTH_SWEEPS`` Aberth-Ehrlich sweeps (Bini and Robol, MPSolve
+    3, JCAM 2014) in place on ``z``, whose column k holds guesses for the
+    roots of descending ``coeffs`` + ``ts[k]``, and return which columns are
+    certified: finite, with Weierstrass disks of radius
+    ``n |p(z_i) / (a_0 prod_{j != i} (z_i - z_j))|`` pairwise disjoint, so
+    that each holds exactly one root (Braess and Hadeler, Numer. Math. 21,
+    1973), and none wider than ``CERT_REL`` times the column's root scale.
+    Loops run over roots, so temporaries are the size of ``z``."""
+    n = len(z)
+    others = [np.roll(np.arange(n), k) for k in range(1, n)]
+
+    def horner():     # p(z) and p'(z), column k's constant term moved by ts[k]
+        p, dp = np.full_like(z, coeffs[0]), np.zeros_like(z)
+        for a in [*coeffs[1:-1], coeffs[-1] + ts]:
+            dp *= z
+            dp += p
+            p *= z
+            p += a
+        return p, dp
+
+    with np.errstate(all="ignore"):   # a column that overflows fails below
+        for _ in range(ABERTH_SWEEPS):
+            p, dp = horner()
+            s = np.zeros_like(z)      # s_i = sum over j != i of 1/(z_i - z_j)
+            for o in others:
+                s += 1.0 / (z - z[o])
+            newton = p / dp
+            z -= newton / (1.0 - newton * s)
+        prod = np.full_like(z, coeffs[0])
+        for o in others:
+            prod *= z - z[o]
+        radius = n * np.abs(horner()[0] / prod)
+        ok = (np.isfinite(z).all(axis=0)
+              & (radius.max(axis=0) < CERT_REL * (1.0 + np.abs(z).max(axis=0))))
+        for o in others:
+            ok &= (np.abs(z - z[o]) > radius + radius[o]).all(axis=0)
+    return ok
+
+
+def _continued_roots(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Row k holds the roots of descending ``coeffs`` + ``ts[k]``, ``ts`` in
+    path order.  Every ``ANCHOR_STRIDE``-th row, an anchor, comes from
+    ``_roots_along``; each row between two anchors is continued from the
+    anchor before it by ``_aberth_certified``, ``CONT_BLOCK`` rows at a
+    time, and a row that fails the certificate comes from ``_roots_along``
+    as well."""
+    out = np.empty((len(ts), len(coeffs) - 1), dtype=complex)
+    out[::ANCHOR_STRIDE] = _roots_along(coeffs, ts[::ANCHOR_STRIDE])
+    between = np.flatnonzero(np.arange(len(ts)) % ANCHOR_STRIDE)
+    failed = []
+    for k0 in range(0, len(between), CONT_BLOCK):
+        rows = between[k0:k0 + CONT_BLOCK]
+        z = out[rows - rows % ANCHOR_STRIDE].T.copy()
+        ok = _aberth_certified(coeffs, ts[rows], z)
+        out[rows[ok]] = z.T[ok]
+        failed.extend(rows[~ok].tolist())
+    if failed:
+        out[failed] = _roots_along(coeffs, ts[failed])
+    return out
+
+
 def _t_text(t: complex) -> str:
     return f"{t.real:.6g}{t.imag:+.6g}j"
 
@@ -487,7 +554,9 @@ class _Tracker:
         n = len(self.roots)
         roots = np.empty((len(samples), n), dtype=complex)
         roots[0] = self.roots
-        roots[1:] = _roots_along(
+        # a loop's own sweep continues its roots; a bisection's 2 samples
+        # are eigensolved
+        roots[1:] = (_continued_roots if depth == 0 else _roots_along)(
             self.coeffs, np.array([s[0] for s in samples[1:]], dtype=complex))
         # one root at a time: temporaries the size of ``roots``, not n times it
         sep = np.full(len(samples), np.inf)

@@ -206,15 +206,19 @@ class OdeSolution:
         self.ts, self.interpolants = ts, interpolants
         self._stacked = None
 
-    def __call__(self, t):
-        """Values at a 1-D array of times, one column per time."""
+    def stacked(self):
+        """``(t_old, h, F, y_old)`` of every step, each one array."""
         if self._stacked is None:
             steps = self.interpolants
             self._stacked = (np.array([s.t_old for s in steps]),
                              np.array([s.h for s in steps]),
                              np.stack([s.F for s in steps]),
                              np.stack([s.y_old for s in steps]))
-        t_old, h, F, y_old = self._stacked
+        return self._stacked
+
+    def __call__(self, t):
+        """Values at a 1-D array of times, one column per time."""
+        t_old, h, F, y_old = self.stacked()
         t = np.asarray(t)
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, h.size - 1)
         x = ((t - t_old[seg]) / h[seg])[:, None]

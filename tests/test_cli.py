@@ -11,10 +11,11 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
-from folia import cli, ode
+from folia import cli, formats, monodromy, ode
 from folia.errors import InputError, NumericError
 from folia.poly import parse_poly
 
@@ -100,6 +101,29 @@ def test_monodromy_command(capsys):
         for row in op["matrix"]:
             assert all(isinstance(e, int) for e in row)
     assert doc["cycle_at_infinity"] is None
+
+
+def test_monodromy_with_fallbacks_prints_only_its_document(monkeypatch,
+                                                           capsys):
+    # a fiber some of whose continued samples fail their certificate and
+    # are eigensolved again; a numpy warning would be an error here
+    failed = []
+    certify = monodromy._aberth_certified
+
+    def count_failed(*args):
+        ok = certify(*args)
+        failed.append(int((~ok).sum()))
+        return ok
+
+    monkeypatch.setattr(monodromy, "_aberth_certified", count_failed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(["monodromy", "--p", "2*x^4 + x^3 - 6*x^2 + 5*x + 1"])
+    out, err = capsys.readouterr()
+    assert code == 0 and sum(failed) > 0
+    assert err == ""
+    assert out == formats.canonical_json(json.loads(out))
+    assert json.loads(out)["orbit_rank"] == 3
 
 
 def test_picard_fuchs_command(capsys):
@@ -418,6 +442,56 @@ def test_each_input_rule_prints_its_own_json_line(monkeypatch, capsys,
         out, err = capsys.readouterr()
         assert out == ""
         assert err == json.dumps({"error": message, "exit_code": 2}) + "\n"
+
+
+def test_holonomy_seed_point_refuses_the_sweep_flags(monkeypatch, capsys,
+                                                    tmp_path, circle_file):
+    # --center and --direction place the cycles of a level sweep; with
+    # --seed-point they used to be accepted and ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"center": "5,5"}')
+    missing = str(tmp_path / "none.json")
+    cases = [
+        (["--center", "5,5", "--direction", "0,1"], "--center and --direction"),
+        (["--center", "5,5"], "--center"),
+        (["--direction", "0,1"], "--direction"),
+        (["--config", str(cfg)], "--center"),
+    ]
+    for extra, named in cases:
+        for form in (circle_file, missing):    # checked before the file is read
+            argv = ["holonomy", "--form", form, "--seed-point", "1,0", *extra]
+            monkeypatch.setattr(sys, "argv", ["folia", *argv])
+            with pytest.raises(SystemExit) as ei:
+                cli.main()
+            assert ei.value.code == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            message = (f"--seed-point traces one given cycle; drop {named}, "
+                       "used only by --t level sweeps")
+            assert err == json.dumps({"error": message, "exit_code": 2}) + "\n"
+
+
+def test_selftest_refuses_config_without_opening_it(monkeypatch, capsys,
+                                                    tmp_path):
+    # a valid file, a bad key and a missing file used to give three errors
+    valid = tmp_path / "valid.json"
+    valid.write_text('{"criteria": "7"}')
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text('{"bogus": 1}')
+    opened = []
+    monkeypatch.setattr(formats, "load_json_file", opened.append)
+    for extra in (["--config", str(valid)], ["--config", str(bogus)],
+                  ["--config", str(tmp_path / "none.json")],
+                  [f"--config={valid}"], ["--criteria", "7", "--config"]):
+        monkeypatch.setattr(sys, "argv", ["folia", "selftest", *extra])
+        with pytest.raises(SystemExit) as ei:
+            cli.main()
+        assert ei.value.code == 2, extra
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == json.dumps({"error": "selftest takes no --config",
+                                  "exit_code": 2}) + "\n"
+    assert opened == []
 
 
 def test_tolerance_flags_belong_to_their_commands():

@@ -8,6 +8,7 @@ import pytest
 from folia import InputError, NumericError, parse_poly
 from folia.foliation import FoliationRecord, dulac_family, hamiltonian, logarithmic
 from folia.flow import (
+    _PiecewisePath,
     CycleApprox,
     cycle_through_level,
     holonomy,
@@ -17,6 +18,7 @@ from folia.flow import (
 )
 from folia.forms import DifferentialForm
 from folia.melnikov import perturbed_record
+from folia.ode import solve_ivp
 
 VS = ("x", "y")
 
@@ -179,3 +181,37 @@ def test_dulac_a1_leaves_do_not_close():
     rec = dulac_family("A", 1, VS)
     with pytest.raises(NumericError):
         trace_cycle(rec, (0.5, 0.5))
+
+
+def _piecewise_by_loop(pieces, period, tau):
+    # the per-piece evaluation the stacked path replaced, kept as reference
+    tau = np.clip(np.atleast_1d(np.asarray(tau, dtype=float)), 0.0, period)
+    starts = np.array([p[0] for p in pieces])
+    idx = np.clip(np.searchsorted(starts, tau, side="right") - 1,
+                  0, len(pieces) - 1)
+    out = np.empty((2, tau.size))
+    for k, (t0, t1, sol) in enumerate(pieces):
+        mask = idx == k
+        if mask.any():
+            out[:, mask] = sol(np.clip(tau[mask] - t0, 0.0, t1 - t0))
+    return out
+
+
+def test_piecewise_path_equals_the_per_piece_loop():
+    # a rotation, integrated over uneven consecutive chunks as the
+    # section-return integrator does, evaluated everywhere and at every
+    # step boundary and its neighbouring floats
+    def rhs(t, z):
+        return np.array([-z[1] + 0.1 * z[0], z[0] + 0.1 * z[1]])
+
+    pieces, t, z = [], 0.0, np.array([1.0, 0.0])
+    for h in (0.01, 0.7, 0.3, 2.1, 1e-3, 1.4):
+        sol = solve_ivp(rhs, (0.0, h), z, rtol=1e-10, atol=1e-12)
+        pieces.append((t, t + h, sol.sol))
+        t, z = t + h, sol.y[:, -1]
+    knots = np.concatenate([p[0] + p[2].ts for p in pieces] + [[t]])
+    taus = np.concatenate([
+        np.random.default_rng(7).uniform(-0.5, t + 0.5, 3000), knots,
+        np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf)])
+    got = _PiecewisePath(pieces, t)(taus)
+    assert np.array_equal(got, _piecewise_by_loop(pieces, t, taus))

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ from folia import monodromy, parse_poly
 from folia.acceptance import _det_int
 from folia.errors import InputError, NumericError
 from folia.monodromy import (
+    _aberth_certified,
+    _continued_roots,
+    _loop_samples,
     _roots_along,
     _Tracker,
     build_model,
@@ -230,6 +234,139 @@ def test_batched_roots_are_bit_identical_to_np_roots():
             shifted = c.copy()
             shifted[-1] += t
             assert np.array_equal(row, np.roots(shifted))
+
+
+def _seeded_fiber(rng, deg):
+    while True:
+        try:
+            return build_model(random_real_poly(rng, deg))
+        except (InputError, NumericError):
+            continue
+
+
+def _loop_ts(m, j, theta=0.0):
+    # the t values of a loop's top-level sweep, after its start
+    return np.array([s[0] for s in _loop_samples(m, j, theta)[1:]])
+
+
+def _weierstrass(c, row):
+    # the inclusion radii n |p(z_i) / (a_0 prod_{j != i} (z_i - z_j))|,
+    # written out one root at a time
+    n = len(row)
+    return np.array([
+        n * abs(np.polyval(c, z) / (c[0] * np.prod(np.delete(z - row, i))))
+        for i, z in enumerate(row)])
+
+
+def test_continued_rows_are_np_roots_within_the_certified_bound():
+    rng = random.Random(2201)
+    continued = 0
+    for deg in range(3, 11):
+        m = _seeded_fiber(rng, deg)
+        last = len(m.critical_values) - 1
+        for j, theta in ((0, 0.0), (last, math.pi / 7)):
+            ts = _loop_ts(m, j, theta)
+            got = _continued_roots(m._coeffs, ts)
+            # _roots_along is np.roots row for row (tested above)
+            for t, row, want in zip(ts, got, _roots_along(m._coeffs, ts)):
+                if np.array_equal(row, want):
+                    continue        # an anchor or a fallback
+                continued += 1
+                c = m._coeffs.copy()
+                c[-1] += t
+                bound = monodromy.CERT_REL * (1.0 + np.abs(row).max())
+                radii = _weierstrass(c, row)
+                assert radii.max() < bound
+                gaps = np.abs(row[:, None] - row[None, :])
+                assert (gaps > radii[:, None] + radii[None, :])[
+                    ~np.eye(deg, dtype=bool)].all()
+                near = np.abs(row[:, None] - want[None, :]).argmin(axis=1)
+                assert sorted(near) == list(range(deg))
+                # each disk holds one true root, and np.roots is near it
+                assert np.abs(row - want[near]).max() < bound
+    assert continued > 5000
+
+
+def test_rows_that_fail_the_certificate_are_eigensolved(monkeypatch):
+    m = build_model(P("x^3 - 3*x"))
+    # t = 2 is a critical value: x^3 - 3x + 2 = (x - 1)^2 (x + 2) has a
+    # double root, so no disks can isolate its roots
+    path = _loop_ts(m, 0)[:80]     # no t twice, so a t names its row
+    ts = np.concatenate([path[:40], [2.0, 2.0], path[40:]])
+    collided = []
+    certify = monodromy._aberth_certified
+
+    def colliding_seeds(coeffs, t, z):
+        z[1, ::3] = z[0, ::3]   # every third row starts two roots together
+        collided.extend(t[::3].tolist())
+        return certify(coeffs, t, z)
+
+    monkeypatch.setattr(monodromy, "_aberth_certified", colliding_seeds)
+    got = _continued_roots(m._coeffs, ts)
+    want = _roots_along(m._coeffs, ts)
+    same = [np.array_equal(a, b) for a, b in zip(got, want)]
+    assert same[40] and same[41]
+    assert collided and all(s for t, s in zip(ts, same) if t in collided)
+    assert not all(same)
+
+
+def test_the_certificate_needs_disjoint_disks_and_small_radii(monkeypatch):
+    monkeypatch.setattr(monodromy, "ABERTH_SWEEPS", 0)   # certify the seeds
+    e = 2.0 ** -44
+    # roots 0, e and 3; every value below is exact in binary floating point
+    c = np.array([1.0, -(3.0 + e), 3.0 * e, 0.0], dtype=complex)
+    exact = np.array([[0.0], [e], [3.0]], dtype=complex)
+    assert _aberth_certified(c, np.zeros(1), exact.copy()).tolist() == [True]
+    # radii 0, 3e/2 and 0, far below the bound, but the disk about e/2
+    # covers 0: it holds two roots
+    overlapping = np.array([[0.0], [e / 2], [3.0]], dtype=complex)
+    assert _weierstrass(c, overlapping[:, 0]).max() < monodromy.CERT_REL
+    assert _aberth_certified(c, np.zeros(1), overlapping).tolist() == [False]
+    # roots 0, 1 and 3, seeds 2^-20 off: disjoint disks, one root apiece,
+    # each about 3e-6 wide
+    c = np.array([1.0, -4.0, 3.0, 0.0], dtype=complex)
+    wide = np.array([[0.0], [1.0], [3.0]], dtype=complex) + 2.0 ** -20
+    radii = _weierstrass(c, wide[:, 0])
+    assert 1e-6 < radii.max() and radii.max() < 1e-5
+    assert _aberth_certified(c, np.zeros(1), wide).tolist() == [False]
+
+
+def test_overflowing_rows_fail_quietly():
+    c = np.array([1.0, 0.0, -3.0, 0.0], dtype=complex)
+    z = np.array([[1e200, 1.0], [-1e200, 2.0], [1e100, 3.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok = _aberth_certified(c, np.zeros(2), z)
+    assert not ok.any()
+
+
+def test_eigvals_sees_one_sample_in_sixteen_plus_the_fallbacks(monkeypatch):
+    # the degree-8 fiber of the benchmark's monodromy job
+    m = build_model(P("3*x^8 + x^7 + 3*x^6 - 3*x^5 + 4*x^4 + 4*x^3 + 2*x^2"
+                      " - 4*x - 2"))
+    seen, failed = [0], [0]
+    eigvals, certify = np.linalg.eigvals, monodromy._aberth_certified
+
+    def count_eigvals(a):
+        seen[0] += len(a)
+        return eigvals(a)
+
+    def count_failed(*args):
+        ok = certify(*args)
+        failed[0] += int((~ok).sum())
+        return ok
+
+    monkeypatch.setattr(np.linalg, "eigvals", count_eigvals)
+    monkeypatch.setattr(monodromy, "_aberth_certified", count_failed)
+    total = 0
+    for j in range(len(m.critical_values)):
+        ts = _loop_ts(m, j)
+        seen[0] = failed[0] = 0
+        _continued_roots(m._coeffs, ts)
+        assert seen[0] <= -(-len(ts) // monodromy.ANCHOR_STRIDE) + failed[0]
+        assert failed[0] <= len(ts) // 100
+        total += len(ts)
+    assert total > 3000
 
 
 def _order_reference(row, phi, tol):

@@ -7,14 +7,6 @@ branch-point pairs.  Loops in the t-plane around a critical value braid
 the branch points, and each elementary crossing of two projection-order
 adjacent points acts on homology as the Picard-Lefschetz twist by the
 chain cycle at that position.
-
-Crossings are read off in a rotated projection frame when the default
-real-axis projection degenerates (conjugate pairs of a real polynomial
-are persistently tied there).  The rotation is itself tracked as part
-of the braid - the frame turns from 0 to the working angle before the
-loop and back after it - so the reported matrices always act in the
-basis attached to the (Re, Im)-sorted branch points, whatever angle the
-tracker ends up needing.
 """
 
 from __future__ import annotations
@@ -32,7 +24,6 @@ from .errors import InputError, NumericError
 from .poly import Poly, _gaussian_det
 from .ratfunc import UPoly, fiber_adjugate, upoly_gcd
 
-TRACK_ANGLES = (0.0, math.pi / 7.0, math.pi / 3.0)
 MATCH_FRACTION = 0.25
 MAX_DEPTH = 48
 COLLISION_REL = 1e-9
@@ -53,10 +44,6 @@ def __getattr__(name):
     from scipy.optimize import linear_sum_assignment
     globals()[name] = linear_sum_assignment
     return linear_sum_assignment
-
-
-class _RetryTracking(Exception):
-    """Projection-frame degeneracy; retry with the next angle."""
 
 
 # ---- integer linear algebra -------------------------------------------------
@@ -346,25 +333,16 @@ def _approach_path(model: FibrationModel, j: int) -> tuple[list[complex], float]
     return pts, rho
 
 
-def _loop_samples(model: FibrationModel, j: int,
-                  theta: float) -> list[tuple[complex, float, bool]]:
-    """(t, frame angle, on-critical-circle) samples for the j-th loop."""
+def _loop_samples(model: FibrationModel, j: int) -> list[tuple[complex, bool]]:
+    """(t, on-critical-circle) samples for the j-th loop."""
     b = complex(model.base)
     approach, rho = _approach_path(model, j)
     cj = model.critical_values[j]
     entry = approach[-1]
     circle = _arc_samples(cj, rho, cmath.phase(entry - cj), 2.0 * math.pi, 256)
-
-    samples: list[tuple[complex, float, bool]] = [(b, 0.0, False)]
-    if theta != 0.0:
-        samples.extend((b, theta * k / 48, False) for k in range(1, 49))
-    samples.extend((z, theta, False) for z in approach)
-    samples.extend((z, theta, True) for z in circle)
-    samples.extend((z, theta, False) for z in approach[-2::-1])
-    samples.append((b, theta, False))
-    if theta != 0.0:
-        samples.extend((b, theta * (48 - k) / 48, False) for k in range(1, 49))
-    return samples
+    return ([(b, False)] + [(z, False) for z in approach]
+            + [(z, True) for z in circle]
+            + [(z, False) for z in approach[-2::-1]] + [(b, False)])
 
 
 # ---- braid tracking ---------------------------------------------------------
@@ -460,6 +438,11 @@ def _t_text(t: complex) -> str:
     return f"{t.real:.6g}{t.imag:+.6g}j"
 
 
+def _braid_failure(index: int, reason: str) -> NumericError:
+    return NumericError(
+        f"braid extraction failed for critical value {index}: {reason}")
+
+
 class _Tracker:
     """Carries the matched root configuration and the accumulated twist
     along the loop around the critical value with the given index."""
@@ -473,21 +456,19 @@ class _Tracker:
         self.inter = model.lattice.intersection
         self.matrix = _identity(n)
 
-    def _orders(self, roots: np.ndarray, phis) -> np.ndarray:
-        """Row i's projection order at frame angle ``phis[i]``, as row
-        indices.  Sort by projected real part, but a chain of real parts
-        each closer than the root finder's noise floor to the next is a tie
-        and falls through to the imaginary part (the limit of a slightly
-        positive frame angle).  Without the tie a conjugate pair on a real
-        segment flips order at random and emits fake crossings."""
-        rot = np.array([cmath.exp(-1j * phi) for phi in phis])
-        w = roots * rot[:, None]
-        by_re = np.argsort(w.real, axis=1, kind="stable")
-        re = np.take_along_axis(w.real, by_re, axis=1)
+    def _orders(self, roots: np.ndarray) -> np.ndarray:
+        """Each row's projection order, as row indices.  Sort by real part,
+        but a chain of real parts each closer than the root finder's noise
+        floor to the next is a tie and falls through to the imaginary part
+        (the limit of a projection turned slightly counterclockwise).
+        Without the tie a conjugate pair on a real segment flips order at
+        random and emits fake crossings."""
+        by_re = np.argsort(roots.real, axis=1, kind="stable")
+        re = np.take_along_axis(roots.real, by_re, axis=1)
         group = np.zeros(re.shape, dtype=int)
         group[:, 1:] = np.cumsum(np.diff(re, axis=1) >= TIE_REL * self.scale,
                                  axis=1)
-        im = np.take_along_axis(w.imag, by_re, axis=1)
+        im = np.take_along_axis(roots.imag, by_re, axis=1)
         return np.take_along_axis(by_re, np.lexsort((im, group), axis=-1),
                                   axis=1)
 
@@ -499,35 +480,38 @@ class _Tracker:
         m[k] = [v + sum(c * m[j][col] for j, c in coef)
                 for col, v in enumerate(m[k])]
 
-    def _events(self, r0, r1, ord0, ord1, phi0,
-                phi1) -> list[tuple[int, int]] | None:
+    def _events(self, r0, r1, ord0, ord1) -> list[tuple[int, int]]:
         """The signed adjacent transpositions taking projection order
         ``ord0`` of ``r0`` to ``ord1`` of ``r1`` (both in tracked labels),
-        or None when the change is not a set of disjoint adjacent swaps."""
+        in time order.
+
+        Each pair whose order flips crosses once, at the step fraction
+        where its real parts meet on the straight line between the
+        samples; of the flipped pairs that are neighbours in the current
+        order, the one crossing first swaps next.  A swap changes the
+        order of its pair alone, so the pairs still to cross are the
+        inversions of the current order against ``ord1``, and one of them
+        is always a neighbour pair until the two orders agree.  The sign
+        is the side on which the left point of the pair passes."""
         pos1 = {idx: p for p, idx in enumerate(ord1)}
-        perm = [pos1[idx] for idx in ord0]
-        m = len(perm)
-        ks, k = [], 0
-        while k < m:
-            if perm[k] == k:
-                k += 1
-            elif k + 1 < m and perm[k] == k + 1 and perm[k + 1] == k:
-                ks.append(k)
-                k += 2
-            else:
-                return None
-        out = []
-        rot0, rot1 = cmath.exp(-1j * phi0), cmath.exp(-1j * phi1)
-        for k in ks:
-            a, bb = ord0[k], ord0[k + 1]
-            d0 = (r0[a] - r0[bb]) * rot0
-            d1 = (r1[a] - r1[bb]) * rot1
-            den = d0.real - d1.real
-            lam = d0.real / den if den != 0.0 else 0.5
-            imc = d0.imag + lam * (d1.imag - d0.imag)
+        cross = {}
+        for i, a in enumerate(ord0):
+            for bb in ord0[i + 1:]:
+                if pos1[a] > pos1[bb]:
+                    d0, d1 = r0[a] - r0[bb], r1[a] - r1[bb]
+                    den = d0.real - d1.real
+                    lam = d0.real / den if den != 0.0 else 0.5
+                    cross[a, bb] = (lam, d0.imag + lam * (d1.imag - d0.imag))
+        cur, out = list(ord0), []
+        while cross:
+            _, k = min((cross[pair][0], k) for k, pair in
+                       enumerate(zip(cur, cur[1:])) if pair in cross)
+            imc = cross.pop((cur[k], cur[k + 1]))[1]
             if abs(imc) < 1e-11 * self.scale:
-                raise _RetryTracking("crossing with ambiguous handedness")
+                raise _braid_failure(self.index,
+                                     "crossing with ambiguous handedness")
             out.append((k, 1 if imc < 0.0 else -1))
+            cur[k], cur[k + 1] = cur[k + 1], cur[k]
         return out
 
     def _commit(self, new, events, t1: complex, collided: bool):
@@ -548,8 +532,8 @@ class _Tracker:
         separation (then it is the unique least-displacement assignment,
         the one ``_match_roots`` finds) and no collision is due; where the
         projection order changes, ``_events`` reads its crossings.  A step
-        whose match is rejected, or whose crossings do not disentangle, is
-        bisected: the same sweep runs over its two halves, one level deeper.
+        whose match is rejected is bisected: the same sweep runs over its
+        two halves, one level deeper.
         """
         n = len(self.roots)
         roots = np.empty((len(samples), n), dtype=complex)
@@ -571,12 +555,12 @@ class _Tracker:
             move = np.maximum(move, dist.min(axis=1))
         matched = ((np.sort(near, axis=1) == np.arange(n)).all(axis=1)
                    & (move < MATCH_FRACTION * sep[:-1]))
-        order = self._orders(roots, [s[1] for s in samples])
+        order = self._orders(roots)
         still = (np.take_along_axis(near, order[:-1], axis=1)
                  == order[1:]).all(axis=1)
         # collision detection is waived on the critical circle, where the
         # vanishing pair legitimately gets close
-        check = np.array([not (s0[2] and s1[2])
+        check = np.array([not (s0[1] and s1[1])
                           for s0, s1 in zip(samples, samples[1:])])
         collided = check & (sep[1:] < COLLISION_REL * self.scale)
         fast = matched & still & ~collided
@@ -592,25 +576,20 @@ class _Tracker:
                 continue
             s0, s1 = samples[i], samples[i + 1]
             self.roots = roots[i][perm]
-            events = None
             if matched[i]:
                 new = roots[i + 1][nxt]
                 events = [] if still[i] else self._events(
                     self.roots, new, np.argsort(perm)[order[i]].tolist(),
-                    np.argsort(nxt)[order[i + 1]].tolist(), s0[1], s1[1])
-            if events is not None:
+                    np.argsort(nxt)[order[i + 1]].tolist())
                 self._commit(new, events, s1[0], bool(collided[i]))
                 perm = nxt
                 continue
             if depth >= MAX_DEPTH:
-                if not matched[i]:
-                    raise NumericError(
-                        "root tracking lost between samples (critical value "
-                        f"{self.index}, t from {_t_text(s0[0])} to "
-                        f"{_t_text(s1[0])}, frame angle {float(s1[1]):.6g})")
-                raise _RetryTracking("crossing pattern did not disentangle")
-            mid = (0.5 * (s0[0] + s1[0]), 0.5 * (s0[1] + s1[1]),
-                   s0[2] and s1[2])
+                raise NumericError(
+                    "root tracking lost between samples (critical value "
+                    f"{self.index}, t from {_t_text(s0[0])} to "
+                    f"{_t_text(s1[0])})")
+            mid = (0.5 * (s0[0] + s1[0]), s0[1] and s1[1])
             self.sweep([s0, mid, s1], depth + 1)
             # the sub-sweep ends on the roots at s1, a reordering of the row
             perm = np.abs(roots[i + 1][None, :]
@@ -618,7 +597,7 @@ class _Tracker:
         self.roots = roots[-1][perm]
 
 
-def _primitive_delta(matrix, inter) -> tuple[int, ...]:
+def _primitive_delta(matrix, inter, index: int) -> tuple[int, ...]:
     n = len(matrix)
     cols = []
     for j in range(n):
@@ -626,7 +605,7 @@ def _primitive_delta(matrix, inter) -> tuple[int, ...]:
         if any(col):
             cols.append(col)
     if not cols:
-        raise _RetryTracking("loop acted trivially; homotopy class lost")
+        raise _braid_failure(index, "loop acted trivially; homotopy class lost")
     delta = cols[0]
     g = 0
     for a in delta:
@@ -641,20 +620,20 @@ def _primitive_delta(matrix, inter) -> tuple[int, ...]:
     for col in cols:
         ks = {c // d for c, d in zip(col, delta) if d != 0}
         if len(ks) != 1:
-            raise _RetryTracking("monodromy image is not a line")
+            raise _braid_failure(index, "monodromy image is not a line")
         kk = ks.pop()
         if any(c != kk * d for c, d in zip(col, delta)):
-            raise _RetryTracking("monodromy image is not a line")
+            raise _braid_failure(index, "monodromy image is not a line")
     dt = tuple(delta)
     if twist_matrix(inter, dt) != tuple(tuple(r) for r in matrix):
-        raise _RetryTracking("operator is not the twist by its vanishing cycle")
+        raise _braid_failure(index,
+                             "operator is not the twist by its vanishing cycle")
     return dt
 
 
-def _generator_for(model: FibrationModel, j: int,
-                   theta: float) -> MonodromyOperator:
+def _generator_for(model: FibrationModel, j: int) -> MonodromyOperator:
     tracker = _Tracker(model, j)
-    tracker.sweep(_loop_samples(model, j, theta))
+    tracker.sweep(_loop_samples(model, j))
     err = 0.0
     base_roots = np.array(model.branch_points, dtype=complex)
     for z in tracker.roots:
@@ -665,7 +644,7 @@ def _generator_for(model: FibrationModel, j: int,
             f"around critical value {j} (err {err:.2e})"
         )
     mat = tuple(tuple(r) for r in tracker.matrix)
-    delta = _primitive_delta(tracker.matrix, model.lattice.intersection)
+    delta = _primitive_delta(tracker.matrix, model.lattice.intersection, j)
     if _gaussian_det([[(v, 0) for v in r] for r in tracker.matrix]) != (1, 0):
         raise NumericError("monodromy operator has determinant != 1")
     return MonodromyOperator(index=j,
@@ -676,23 +655,7 @@ def _generator_for(model: FibrationModel, j: int,
 def monodromy_generators(model: FibrationModel) -> list[MonodromyOperator]:
     """One Picard-Lefschetz operator per critical value, base-point loops
     in the standard segment-circle-segment shape."""
-    ops = []
-    for j in range(len(model.critical_values)):
-        last: Exception | None = None
-        op = None
-        for theta in TRACK_ANGLES:
-            try:
-                op = _generator_for(model, j, theta)
-                break
-            except _RetryTracking as exc:
-                last = exc
-        if op is None:
-            raise NumericError(
-                f"braid extraction failed for critical value {j} after "
-                f"{len(TRACK_ANGLES)} projection angles: {last}"
-            )
-        ops.append(op)
-    return ops
+    return [_generator_for(model, j) for j in range(len(model.critical_values))]
 
 
 # ---- orbits and the cycle at infinity ----------------------------------------

@@ -187,33 +187,20 @@ def _interpolate(x, F, y_old):
     return y
 
 
-class _Dense:
-    """The interpolant of one accepted step, at one time."""
-
-    __slots__ = ("t_old", "h", "F", "y_old")
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
-
-    def __call__(self, t):
-        return _interpolate((np.asarray(t) - self.t_old) / self.h, self.F, self.y_old)
-
-
 class OdeSolution:
-    """The dense solution over all steps; a step's end belongs to the step."""
+    """The dense solution over all steps; a step's end belongs to the step.
+    ``steps`` holds ``(t_old, h, F, y_old)`` per step."""
 
-    def __init__(self, ts, interpolants):
-        self.ts, self.interpolants = ts, interpolants
+    def __init__(self, ts, steps):
+        self.ts, self.steps = ts, steps
         self._stacked = None
 
     def stacked(self):
         """``(t_old, h, F, y_old)`` of every step, each one array."""
         if self._stacked is None:
-            steps = self.interpolants
-            self._stacked = (np.array([s.t_old for s in steps]),
-                             np.array([s.h for s in steps]),
-                             np.stack([s.F for s in steps]),
-                             np.stack([s.y_old for s in steps]))
+            t_old, h, F, y_old = zip(*self.steps)
+            self._stacked = (np.array(t_old), np.array(h), np.stack(F),
+                             np.stack(y_old))
         return self._stacked
 
     def __call__(self, t):
@@ -275,7 +262,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, events=()):
     nfev = 2
     K_extended = np.empty((16, y.size))
     K = K_extended[:13]
-    ts, ys, interpolants = [t0], [y0], []
+    ts, ys, steps = [t0], [y0], []
     g = [event(t0, y0) for event in events]
     event_dir = np.array([getattr(event, "direction", 0) for event in events],
                          dtype=float)
@@ -343,9 +330,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, events=()):
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f_new + f_old)
         F[3:] = h * np.dot(_D, K_extended)
-        sol = _Dense(t, t_new, y, F)
-        interpolants.append(sol)
-        t_old, t, y, f = t, t_new, y_new, f_new
+        steps.append((t, h, F, y))
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
 
         t_end, y_end = t, y
         if events:
@@ -357,25 +344,26 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, events=()):
                                 | (up | down) & (event_dir == 0))[0]
             if active.size > 0:
                 roots = np.asarray([
-                    brentq(lambda s: events[e](s, sol(s)), t_old, t,
-                           4 * EPS, 4 * EPS)
+                    brentq(lambda s: events[e](
+                        s, _interpolate((s - t_old) / h, F, y_old)),
+                        t_old, t, 4 * EPS, 4 * EPS)
                     for e in active])
                 first = np.argsort(roots)[0]
                 t_end = roots[first]
-                y_end = sol(t_end)
+                y_end = _interpolate((t_end - t_old) / h, F, y_old)
                 t_events[active[first]].append(t_end)
                 y_events[active[first]].append(y_end)
                 status = 1
             g = g_new
         if len(ts) > 1 and ts[-1] == t_end:
-            interpolants.pop()
+            steps.pop()
         else:
             ts.append(t_end)
             ys.append(y_end)
 
     ts = np.array(ts)
     return SimpleNamespace(
-        t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, interpolants),
+        t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, steps),
         t_events=[np.asarray(te) for te in t_events] if events else None,
         y_events=[np.asarray(ye) for ye in y_events] if events else None,
         nfev=nfev, status=status, message=MESSAGES.get(status, TOO_SMALL_STEP),

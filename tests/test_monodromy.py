@@ -1,4 +1,4 @@
-import cmath
+import itertools
 import json
 import math
 import random
@@ -244,9 +244,9 @@ def _seeded_fiber(rng, deg):
             continue
 
 
-def _loop_ts(m, j, theta=0.0):
+def _loop_ts(m, j):
     # the t values of a loop's top-level sweep, after its start
-    return np.array([s[0] for s in _loop_samples(m, j, theta)[1:]])
+    return np.array([s[0] for s in _loop_samples(m, j)[1:]])
 
 
 def _weierstrass(c, row):
@@ -264,8 +264,8 @@ def test_continued_rows_are_np_roots_within_the_certified_bound():
     for deg in range(3, 11):
         m = _seeded_fiber(rng, deg)
         last = len(m.critical_values) - 1
-        for j, theta in ((0, 0.0), (last, math.pi / 7)):
-            ts = _loop_ts(m, j, theta)
+        for j in (0, last):
+            ts = _loop_ts(m, j)
             got = _continued_roots(m._coeffs, ts)
             # _roots_along is np.roots row for row (tested above)
             for t, row, want in zip(ts, got, _roots_along(m._coeffs, ts)):
@@ -369,11 +369,11 @@ def test_eigvals_sees_one_sample_in_sixteen_plus_the_fallbacks(monkeypatch):
     assert total > 3000
 
 
-def _order_reference(row, phi, tol):
-    # the projection-order rule in plain Python: sort by projected real
-    # part; a chain of neighbours each closer than tol is a tie, sorted by
-    # projected imaginary part
-    w = [complex(z) * cmath.exp(-1j * phi) for z in row]
+def _order_reference(row, tol):
+    # the projection-order rule in plain Python: sort by real part; a
+    # chain of neighbours each closer than tol is a tie, sorted by
+    # imaginary part
+    w = [complex(z) for z in row]
     idx = sorted(range(len(w)), key=lambda a: w[a].real)
     out, k = [], 0
     while k < len(idx):
@@ -391,15 +391,13 @@ def test_projection_orders_follow_the_tie_rule():
     rng = random.Random(5150)
     tied = 0
     for n in range(3, 9):
-        rows, phis = [], []
+        rows = []
         for _ in range(60):
-            phi = rng.choice([0.0, 0.0, math.pi / 7, math.pi / 3,
-                              rng.uniform(-math.pi, math.pi)])
-            w = []      # projected positions, built in the rotated frame
+            w = []
             while len(w) < n:
                 x, y = rng.uniform(-3, 3), rng.uniform(0.1, 2)
                 kind = rng.choice(["pair", "chain", "gap", "single"])
-                if kind == "pair":      # conjugates: an exact tie at angle 0
+                if kind == "pair":      # conjugates: an exact tie
                     w += [complex(x, y), complex(x, -y)]
                 elif kind == "chain":   # each link inside tol, the whole not
                     for _ in range(rng.randint(2, 4)):
@@ -411,16 +409,87 @@ def test_projection_orders_follow_the_tie_rule():
                     w.append(complex(x, y))
             w = w[:n]
             rng.shuffle(w)
-            rows.append([z * cmath.exp(1j * phi) for z in w])
-            phis.append(phi)
-        got = tracker._orders(np.array(rows), phis).tolist()
-        want = [_order_reference(r, phi, tol) for r, phi in zip(rows, phis)]
+            rows.append(w)
+        got = tracker._orders(np.array(rows)).tolist()
+        want = [_order_reference(r, tol) for r in rows]
         assert got == want
-        plain = [sorted(range(n), key=lambda a: (complex(r[a])
-                                                 * cmath.exp(-1j * phi)).real)
-                 for r, phi in zip(rows, phis)]
+        plain = [sorted(range(n), key=lambda a: r[a].real) for r in rows]
         tied += sum(g != q for g, q in zip(got, plain))
     assert tied > 50    # the ties changed the order of many rows
+
+
+def _step_events(r0, r1):
+    # _events on one hand-built step, with both orders by the tracker's rule
+    tracker = _Tracker(build_model(P("x^3 - 3*x")), 0)
+    r0, r1 = np.array(r0, dtype=complex), np.array(r1, dtype=complex)
+    ord0, ord1 = tracker._orders(np.array([r0, r1])).tolist()
+    return tracker._events(r0, r1, ord0, ord1)
+
+
+def test_a_real_point_passing_a_conjugate_pair_is_two_swaps():
+    # label 0 is a spectator far left, 1 the real point, 2 and 3 the pair;
+    # the pair is one tie, below first
+    left, right = [-5, -1, 1j, -1j], [-5, 1, 1j, -1j]
+    # left to right it passes over the lower member, then under the upper
+    # one; back, the same two in the reverse order
+    assert _step_events(left, right) == [(1, -1), (2, 1)]
+    assert _step_events(right, left) == [(2, -1), (1, 1)]
+    # the upper member 1e-12 to the left, still tied: it crosses first, but
+    # the lower member stands between, so the lower one is read first
+    skew = [-5, -1, -1e-12 + 1j, -1j], [-5, 1, -1e-12 + 1j, -1j]
+    assert _step_events(*skew) == [(1, -1), (2, 1)]
+
+
+def test_two_conjugate_pairs_passing_each_other_are_four_swaps():
+    # the pair at +-1j moves right, the pair at +-2j moves left
+    ev = _step_events([-1 + 1j, -1 - 1j, 1 + 2j, 1 - 2j],
+                      [1 + 1j, 1 - 1j, -1 + 2j, -1 - 2j])
+    assert ev == [(1, -1), (0, -1), (2, 1), (1, 1)]
+
+
+def test_a_full_reversal_is_read_in_time_order():
+    # a (0 -> 3, above), b (1 -> 1.5, below) and c (2 -> -1, between) all
+    # swap: b and c at 2/7 of the step, a and c at 1/3, a and b at 2/5;
+    # read the other way round, from the last crossing, the twists differ
+    ev = _step_events([0 + 1j, 1 - 1j, 2 + 0.5j], [3 + 1j, 1.5 - 1j, -1 + 0.5j])
+    assert ev == [(1, 1), (0, -1), (1, -1)]
+
+
+def test_every_order_change_is_read():
+    # a swap changes the order of its pair alone, so until the orders
+    # agree some flipped pair is a neighbour pair: no change is left unread
+    rng = random.Random(2302)
+    tracker = _Tracker(build_model(P("x^3 - 3*x")), 0)
+    for perm in itertools.permutations(range(4)):
+        r0 = np.array([complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                       for _ in range(4)])
+        r1 = np.array([complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                       for _ in range(4)])
+        cur = [0, 1, 2, 3]
+        ev = tracker._events(r0, r1, cur[:], list(perm))
+        for k, _ in ev:
+            cur[k], cur[k + 1] = cur[k + 1], cur[k]
+        assert cur == list(perm)
+        assert len(ev) == sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
+def test_a_rejected_operator_fails_at_once_naming_the_loop(monkeypatch):
+    m = build_model(P("x^3 - 3*x"))
+    loops = []
+    samples = monodromy._loop_samples
+
+    def counted(model, j):
+        loops.append(j)
+        return samples(model, j)
+
+    monkeypatch.setattr(monodromy, "_loop_samples", counted)
+    # no operator is then the twist by its vanishing cycle
+    monkeypatch.setattr(monodromy, "twist_matrix", lambda inter, delta: ())
+    with pytest.raises(NumericError, match=r"^braid extraction failed for "
+                       r"critical value 0: operator is not the twist by its "
+                       r"vanishing cycle$"):
+        monodromy_generators(m)
+    assert loops == [0]
 
 
 def test_tracking_loss_names_the_loop_and_the_interval(monkeypatch):
@@ -431,7 +500,7 @@ def test_tracking_loss_names_the_loop_and_the_interval(monkeypatch):
         monodromy_generators(m)
     msg = str(exc.value)
     got = re.fullmatch(r"root tracking lost between samples \(critical value 0,"
-                       r" t from (\S+) to (\S+), frame angle 0\)", msg)
+                       r" t from (\S+) to (\S+)\)", msg)
     assert got, msg
     # the first step of the first loop leaves the base point
     assert complex(got.group(1)) == m.base
@@ -496,6 +565,33 @@ def test_random_generic_orbits_have_full_rank():
         if v is not None:
             assert all(op(v) == v for op in ops)
         done += 1
+
+
+def test_seeded_fibers_beyond_the_golden_file():
+    # five fibers of each degree 3 to 10, coefficients up to +-9; every
+    # loop is tracked in the one projection frame
+    rng = random.Random(2303)
+    t0 = time.perf_counter()
+    for deg in range(3, 11):
+        for _ in range(5):
+            while True:
+                terms = {(k,): rng.randint(-9, 9) for k in range(deg)}
+                terms[(deg,)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+                try:
+                    m = build_model(Poly(X, {e: c for e, c in terms.items() if c}))
+                    break
+                except (InputError, NumericError):
+                    continue
+            ops = monodromy_generators(m)
+            n, s = m.lattice.rank, m.lattice.intersection
+            assert len(ops) == deg - 1
+            for op in ops:
+                assert _det_int(op.matrix) == 1
+                assert preserves_pairing(op.matrix, s)
+                assert math.gcd(*op.delta) == 1
+                assert op.matrix == twist_matrix(s, op.delta)
+            assert orbit_span(m, ops, (1,) + (0,) * (n - 1)).rank == n
+    assert time.perf_counter() - t0 < 20.0
 
 
 def test_operators_equal_the_golden_record():

@@ -413,90 +413,76 @@ class _Repeat(argparse._AppendAction):
         super().__call__(parser, namespace, values, option_string)
 
 
-def _build_parsers():
-    common = _Parser(add_help=False, allow_abbrev=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--config", default=None)
-
+def _build_parsers(*names):
+    """The top-level parser and the subparsers of the commands ``names``,
+    or of every command when none is named: a run builds only the one it
+    runs, ``--help`` all of them.  Each call builds fresh parsers, since
+    ``_apply_config`` edits a subparser's defaults."""
     top = _Parser(prog="folia", allow_abbrev=False,
                   description="plane polynomial foliation workbench")
     sub = top.add_subparsers(dest="command")
     parsers = {}
 
-    def add(name, handler, **kw):
-        p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kw)
-        p.set_defaults(handler=handler)
-        for dest, (default, commands) in _TOLERANCES.items():
-            if name in commands:
-                p.add_argument("--" + dest.replace("_", "-"),
-                               type=_finite_float, default=default)
-        parsers[name] = p
-        return p
+    def add(name, handler, summary, *arguments):
+        """``handler`` None marks selftest, which takes no --format,
+        --config or tolerance flag."""
+        if names and name not in names:
+            return
+        p = parsers[name] = sub.add_parser(name, allow_abbrev=False, help=summary)
+        if handler is not None:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--config", default=None)
+            p.set_defaults(handler=handler)
+            for dest, (default, commands) in _TOLERANCES.items():
+                if name in commands:
+                    p.add_argument("--" + dest.replace("_", "-"),
+                                   type=_finite_float, default=default)
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
 
-    p = add("sing", _cmd_sing, help="find and classify the singular points of a record")
-    p.add_argument("--form", required=True, help="record file")
-
-    p = add("classify", _cmd_classify, help="classify one singular point")
-    p.add_argument("--form", required=True)
-    p.add_argument("--x", required=True, help="x coordinate, 're' or 're,im'")
-    p.add_argument("--y", required=True, help="y coordinate, 're' or 're,im'")
-
-    p = add("log", _cmd_log,
-            help="build a logarithmic record and run its center census")
-    p.add_argument("--factor", action=_Repeat, default=[])
-    p.add_argument("--residue", action=_Repeat, default=[])
-    p.add_argument("--variables", default="x,y")
-    p.add_argument("--out", default=None, help="write the record file here")
-
-    p = add("dulac", _cmd_dulac, help="emit a Dulac-family record")
-    p.add_argument("--family", required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--variables", default="x,y")
-
-    p = add("pullback", _cmd_pullback, help="pull a 1-form back along a polynomial map")
-    p.add_argument("--map", required=True)
-    p.add_argument("--form", required=True)
-
-    p = add("integrability", _cmd_integrability, help="check w ^ dw = 0 for a 1-form")
-    p.add_argument("--form", required=True)
-
-    p = add("holonomy", _cmd_holonomy, help="return map along level cycles")
-    p.add_argument("--form", required=True)
-    p.add_argument("--t", action=_Repeat, type=_finite_float, default=[])
-    p.add_argument("--seed-point", default=None)
-    p.add_argument("--center", default=None)
-    p.add_argument("--direction", default=None)
-
-    p = add("melnikov", _cmd_melnikov, help="first Melnikov function over a level grid")
-    p.add_argument("--base", required=True)
-    p.add_argument("--pert", required=True)
-    p.add_argument("--t0", type=_finite_float, required=True)
-    p.add_argument("--t1", type=_finite_float, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--center", default=None)
-
-    p = add("monodromy", _cmd_monodromy,
-            help="Picard-Lefschetz operators of y^2 = p(x) + t")
-    p.add_argument("--p", required=True)
-    p.add_argument("--var", default="x")
-
-    p = add("picard-fuchs", _cmd_picard_fuchs,
-            help="exact Gauss-Manin connection matrix")
-    p.add_argument("--p", required=True)
-    p.add_argument("--var", default="x")
-
-    p = add("brieskorn", _cmd_brieskorn,
-            help="reduce a 1-form in the Brieskorn basis of y^2 - x^m")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--omega", required=True)
-
-    p = sub.add_parser("selftest", allow_abbrev=False,
-                       help="run the acceptance criteria")
-    p.add_argument("--rel-tol", type=_finite_float, default=None)
-    p.add_argument("--criteria", default=None,
-                   help="comma-separated criterion numbers to run")
-    parsers["selftest"] = p
-
+    required = {"required": True}
+    add("sing", _cmd_sing, "find and classify the singular points of a record",
+        ("--form", {"required": True, "help": "record file"}))
+    add("classify", _cmd_classify, "classify one singular point",
+        ("--form", required),
+        ("--x", {"required": True, "help": "x coordinate, 're' or 're,im'"}),
+        ("--y", {"required": True, "help": "y coordinate, 're' or 're,im'"}))
+    add("log", _cmd_log, "build a logarithmic record and run its center census",
+        ("--factor", {"action": _Repeat, "default": []}),
+        ("--residue", {"action": _Repeat, "default": []}),
+        ("--variables", {"default": "x,y"}),
+        ("--out", {"default": None, "help": "write the record file here"}))
+    add("dulac", _cmd_dulac, "emit a Dulac-family record",
+        ("--family", required),
+        ("--index", {"type": int, "required": True}),
+        ("--variables", {"default": "x,y"}))
+    add("pullback", _cmd_pullback, "pull a 1-form back along a polynomial map",
+        ("--map", required), ("--form", required))
+    add("integrability", _cmd_integrability, "check w ^ dw = 0 for a 1-form",
+        ("--form", required))
+    add("holonomy", _cmd_holonomy, "return map along level cycles",
+        ("--form", required),
+        ("--t", {"action": _Repeat, "type": _finite_float, "default": []}),
+        ("--seed-point", {"default": None}),
+        ("--center", {"default": None}),
+        ("--direction", {"default": None}))
+    add("melnikov", _cmd_melnikov, "first Melnikov function over a level grid",
+        ("--base", required), ("--pert", required),
+        ("--t0", {"type": _finite_float, "required": True}),
+        ("--t1", {"type": _finite_float, "required": True}),
+        ("--samples", {"type": int, "required": True}),
+        ("--center", {"default": None}))
+    add("monodromy", _cmd_monodromy, "Picard-Lefschetz operators of y^2 = p(x) + t",
+        ("--p", required), ("--var", {"default": "x"}))
+    add("picard-fuchs", _cmd_picard_fuchs, "exact Gauss-Manin connection matrix",
+        ("--p", required), ("--var", {"default": "x"}))
+    add("brieskorn", _cmd_brieskorn,
+        "reduce a 1-form in the Brieskorn basis of y^2 - x^m",
+        ("--m", {"type": int, "required": True}), ("--omega", required))
+    add("selftest", None, "run the acceptance criteria",
+        ("--rel-tol", {"type": _finite_float, "default": None}),
+        ("--criteria", {"default": None,
+                        "help": "comma-separated criterion numbers to run"}))
     return top, parsers
 
 
@@ -586,12 +572,14 @@ def _selftest(args) -> int:
 def run(argv) -> int:
     """Parse argv (no program name), execute, return the exit code."""
     argv = list(argv)
-    top, parsers = _build_parsers()
     if not argv:
         raise InputError("no command given; commands are " + ", ".join(COMMANDS))
     if argv[0] in COMMANDS:
+        top, parsers = _build_parsers(argv[0])
         _apply_config(argv[1:], parsers, argv[0])
-    elif argv[0] not in ("-h", "--help"):
+    elif argv[0] in ("-h", "--help"):
+        top, parsers = _build_parsers()
+    else:
         raise InputError(
             f"unknown command {argv[0]!r}; commands are " + ", ".join(COMMANDS))
     args = top.parse_args(argv)

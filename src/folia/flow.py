@@ -131,7 +131,8 @@ def _integrate_to_section(rhs: Callable, z0: np.ndarray, section: Transversal,
     escape = ESCAPE_FACTOR * scale
 
     def ev_section(t, z):
-        return (z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1]
+        x, y = z.tolist()
+        return (x - section.base[0]) * n[0] + (y - section.base[1]) * n[1]
 
     ev_section.direction = float(dir_sign)
 
@@ -142,7 +143,8 @@ def _integrate_to_section(rhs: Callable, z0: np.ndarray, section: Transversal,
     ev_speed.direction = -1.0
 
     def ev_escape(t, z):
-        return z[0] * z[0] + z[1] * z[1] - escape * escape
+        x, y = z.tolist()
+        return x * x + y * y - escape * escape
 
     ev_escape.direction = 1.0
 
@@ -297,7 +299,8 @@ def trace_cycle(record: FoliationRecord, seed_point: Sequence[float],
     pf, qf = record.field_callables()
 
     def rhs(t, z):
-        return (pf(z[0], z[1]), qf(z[0], z[1]))
+        x, y = z.tolist()
+        return (pf(x, y), qf(x, y))
 
     run = _integrate_to_section(rhs, z0, section, rtol=rtol, atol=atol)
     closure = float(np.hypot(*(run.z_ret - z0)))
@@ -425,7 +428,8 @@ def holonomy(record: FoliationRecord, cycle: CycleApprox,
     flip = 1.0 if float(np.dot(tangent, v0)) >= 0.0 else -1.0
 
     def rhs(t, z):
-        return (flip * pf(z[0], z[1]), flip * qf(z[0], z[1]))
+        x, y = z.tolist()
+        return (flip * pf(x, y), flip * qf(x, y))
 
     run = _integrate_to_section(rhs, z0, cycle.section, rtol=rtol, atol=atol)
 

@@ -6,6 +6,7 @@ and the one denominator, the critical-value polynomial chi(t), is known
 in advance.  Nothing here is numeric.
 
 ``UPoly``   dense polynomial over Fraction, trailing zeros stripped.
+``upoly_gcd`` the monic gcd over Q, by Brown's modular algorithm.
 ``RatFrac`` a Picard-Fuchs entry put in lowest terms for printing: a
             numerator over chi(t) with the common factor cancelled and
             the denominator made monic.
@@ -17,6 +18,7 @@ in advance.  Nothing here is numeric.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import InputError
@@ -144,10 +146,120 @@ class UPoly:
         return f"UPoly({self.to_str()!r})"
 
 
+# ---- the monic gcd over Q, by Brown's modular algorithm ---------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The moduli of ``upoly_gcd``: the primes below 2^31, descending."""
+    n = 2**31 - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _integral(a: UPoly) -> list[int]:
+    """``a`` times the lcm of its denominators, as integers."""
+    l = lcm(*(c.denominator for c in a.coeffs))
+    return [c.numerator * (l // c.denominator) for c in a.coeffs]
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd in F_p[t] of two reduced coefficient lists whose leading
+    coefficients are nonzero mod p; the lists are overwritten."""
+    while b:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            f, k = a[-1] * inv % p, len(a) - 1 - db
+            for j in range(db):
+                a[k + j] = (a[k + j] - f * b[j]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _rational(u: int, m: int) -> Fraction | None:
+    """The fraction r/s = u mod m with |r|, s <= sqrt(m/2), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _divides(c: list[int], a: list[int]) -> bool:
+    """Whether the primitive ``c`` divides ``a`` in Z[t] (so also in Q[t])."""
+    rem, lc, dc = list(a), c[-1], len(c) - 1
+    for k in range(len(a) - 1 - dc, -1, -1):
+        q, r = divmod(rem[k + dc], lc)
+        if r:
+            return False
+        if q:
+            for j in range(dc):
+                rem[k + j] -= q * c[j]
+    return not any(rem[:dc])
+
+
 def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    """Monic gcd over Q (zero only for two zeros), by Brown's modular
+    algorithm (JACM 18, 1971).
+
+    With denominators cleared, the gcd modulo a prime that divides
+    neither leading coefficient has at least the degree of the true one,
+    so degree 0 at one prime proves the inputs coprime.  Otherwise the
+    images of the lowest degree seen are combined by CRT, their
+    coefficients read back by rational reconstruction, and the candidate
+    is accepted only when it divides both inputs exactly; every further
+    prime either lowers the degree or enlarges the modulus.
+    """
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    ia, ib = _integral(a), _integral(b)
+    lead = ia[-1] * ib[-1]
+    size, m, crt = len(ia) + len(ib), 1, []     # no image is that long
+    for p in _primes():
+        if lead % p == 0:
+            continue
+        img = _gcd_mod([c % p for c in ia], [c % p for c in ib], p)
+        if len(img) == 1:
+            return UPoly.one()
+        if len(img) > size:
+            continue                                # an unlucky prime
+        if len(img) < size:
+            size, m, crt = len(img), 1, [0] * len(img)
+        inv = pow(m, -1, p)
+        crt = [u + m * ((v - u) * inv % p) for u, v in zip(crt, img)]
+        m *= p
+        coeffs = [_rational(u, m) for u in crt]
+        if None not in coeffs:
+            g = UPoly(coeffs)
+            z = _integral(g)
+            if _divides(z, ia) and _divides(z, ib):
+                return g
 
 
 class RatFrac:

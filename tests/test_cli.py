@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -825,3 +826,55 @@ def test_selftest_subset_deterministic():
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert "criterion 7 PASS" in a.stdout and "criterion 8 PASS" in a.stdout
+
+
+# ---- one parser per run ---------------------------------------------------------
+
+HELP_GOLDEN = Path(__file__).parent / "data" / "cli_help_golden.json"
+
+
+def test_help_texts_match_the_record(capsys, monkeypatch):
+    # the top-level help lists every command; each command's help shows
+    # its own flags; none may change when a run builds only its parser
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = json.loads(HELP_GOLDEN.read_text())["texts"]
+    assert set(texts) == {"--help"} | {f"{c} --help" for c in cli.COMMANDS}
+    for argv, text in texts.items():
+        with pytest.raises(SystemExit) as ei:
+            cli.run(argv.split())
+        assert ei.value.code == 0
+        assert capsys.readouterr().out == text, argv
+
+
+def test_each_run_builds_only_its_own_parser(monkeypatch, capsys):
+    progs = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kw):
+        progs.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert cli.run(["picard-fuchs", "--p", "x^3 - 3*x"]) == 0
+    assert progs == ["folia", "folia picard-fuchs"]
+    progs.clear()
+    _, parsers = cli._build_parsers()
+    assert list(parsers) == list(cli.COMMANDS)
+    assert progs == ["folia"] + [f"folia {c}" for c in cli.COMMANDS]
+
+
+def test_a_config_run_leaves_the_next_run_fresh(capsys, tmp_path):
+    # _apply_config edits the subparser's defaults and required flags;
+    # the plain run after it must print what a fresh process prints
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"family": "A", "index": 2, "variables": "p,q"}')
+    assert cli.run(["dulac", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["variables"] == ["p", "q"]
+    plain = ["dulac", "--family", "B1", "--index", "1"]
+    assert cli.run(plain) == 0
+    fresh = _spawn(plain)
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
+    assert json.loads(fresh.stdout)["variables"] == ["x", "y"]
+    with pytest.raises(InputError, match="required: --family"):
+        cli.run(["dulac", "--index", "1"])

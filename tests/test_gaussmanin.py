@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from scipy.integrate import quad
 
-from folia import parse_poly
+from folia import parse_poly, ratfunc
 from folia.errors import InputError, NumericError
 from folia.forms import DifferentialForm, d_poly
 from folia.gaussmanin import (
@@ -24,9 +26,10 @@ from folia.gaussmanin import (
 )
 from folia.monodromy import _genericity_failure, _real_fraction_coeffs
 from folia.poly import Poly, resultant
-from folia.ratfunc import RatFrac, UPoly, fiber_bezout, tx_add, tx_mul
+from folia.ratfunc import RatFrac, UPoly, fiber_bezout, tx_add, tx_mul, upoly_gcd
 
 GOLDEN = Path(__file__).parent / "data" / "picard_fuchs_golden.json"
+HIGH_GOLDEN = Path(__file__).parent / "data" / "picard_fuchs_high_golden.json"
 
 X = ("x",)
 XY = ("x", "y")
@@ -106,6 +109,20 @@ def test_pf_matches_the_golden_record():
         else:
             assert picard_fuchs(p).entry_strings() == e["entries"], e["p"]
     assert time.perf_counter() - t0 < 15.0
+
+
+def test_pf_high_degree_matches_the_record():
+    # degree 9 to 17, recorded with the Euclid gcd over Q; lowest terms
+    # at degree 17 within 2 s (about 30 s with that gcd)
+    fibers = json.loads(HIGH_GOLDEN.read_text())["fibers"]
+    assert [e["degree"] for e in fibers] == [9, 11, 13, 15, 17]
+    for e in fibers:
+        conn = picard_fuchs(P(e["p"], X))
+        t0 = time.perf_counter()
+        entries = conn.entry_strings()
+        took = time.perf_counter() - t0
+        assert entries == e["entries"], e["degree"]
+    assert took < 2.0
 
 
 def test_pf_reduces_entries_only_when_printed(monkeypatch):
@@ -361,6 +378,71 @@ def test_genericity_verdicts():
     assert verdict("x^4 + 1") == "repeated critical points"
     assert verdict("x^3") == "repeated critical points"
     assert verdict("x^3 - 3*x") is None
+
+
+def _sympy_gcd(a: UPoly, b: UPoly) -> UPoly:
+    t = sympy.Symbol("t")
+
+    def to_sympy(u):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(u.coeffs)] or [0], t, domain="QQ")
+
+    g = sympy.gcd(to_sympy(a), to_sympy(b))
+    return UPoly([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())])
+
+
+def test_upoly_gcd_matches_sympy(monkeypatch):
+    # seeded pairs over Q, every other one with a planted common factor;
+    # the tall factors need several primes before reconstruction holds
+    primes, used = ratfunc._primes, []
+
+    def counted():
+        used.append(0)
+        for p in primes():
+            used[-1] += 1
+            yield p
+
+    monkeypatch.setattr(ratfunc, "_primes", counted)
+    rng = random.Random("upoly_gcd")
+
+    def draw(deg, height):
+        return UPoly([Fraction(rng.randint(-height, height), rng.randint(1, 6))
+                      for _ in range(deg)] + [Fraction(rng.randint(1, height))])
+
+    planted = 0
+    for k in range(80):
+        height = 10**rng.choice((1, 1, 6, 30))
+        g = draw(rng.randint(1, 5), height) if k % 2 else UPoly.one()
+        a = draw(rng.randint(0, 7), 9) * g
+        b = draw(rng.randint(0, 7), 9) * g
+        got = upoly_gcd(a, b)
+        assert got == _sympy_gcd(a, b), (a, b)
+        assert upoly_gcd(b, a) == got
+        planted += got.degree > 0
+    assert planted == 40
+    assert max(used) >= 4
+    c, u = UPoly([Fraction(3, 4)]), UPoly([Fraction(1, 2), 0, 3])
+    zero = UPoly()
+    assert upoly_gcd(zero, zero) == zero == _sympy_gcd(zero, zero)
+    for a, b in ((u, zero), (zero, u), (c, u), (u, c), (c, zero), (c, c)):
+        assert upoly_gcd(a, b) == _sympy_gcd(a, b)
+    assert upoly_gcd(u, zero).coeffs == (Fraction(1, 6), 0, 1)
+
+
+def test_upoly_gcd_survives_an_unlucky_first_prime(monkeypatch):
+    # modulo 101, t + 1 and t + 102 agree, so the first image has one
+    # degree too many and reconstructs to a common factor of too high a
+    # degree; only the exact division rejects it
+    primes = ratfunc._primes
+    monkeypatch.setattr(ratfunc, "_primes",
+                        lambda: itertools.chain([101], primes()))
+    g = UPoly([1, 1, 1])
+    assert upoly_gcd(g * UPoly([1, 1]), g * UPoly([102, 1])) == g
+    assert upoly_gcd(UPoly([1, 1]), UPoly([102, 1])) == UPoly.one()
+    # a prime that divides a leading coefficient is skipped: modulo 101
+    # the common factor 101 t + 1 would become a unit
+    h = UPoly([1, 101])
+    assert upoly_gcd(h * UPoly([2, 1]), h * UPoly([3, 1])) == h.monic()
 
 
 def test_ratfrac_lowest_terms_and_text():

@@ -367,10 +367,15 @@ def _cmd_monodromy(args):
 def _cmd_picard_fuchs(args):
     from .gaussmanin import picard_fuchs
     from .poly import parse_poly
-    p = parse_poly(args.p, (args.var,))
+    x = args.var
+    if x in ("t", "y"):
+        where = ("the level t in the matrix entries" if x == "t" else
+                 "y in the fiber y^2 = p + t and its basis")
+        raise InputError(f"--var {x} clashes with {where}; choose another letter")
+    p = parse_poly(args.p, (x,))
     conn = picard_fuchs(p)
-    labels = ["dx/y" if i == 0 else
-              ("x*dx/y" if i == 1 else f"x^{i}*dx/y")
+    labels = [f"d{x}/y" if i == 0 else
+              (f"{x}*d{x}/y" if i == 1 else f"{x}^{i}*d{x}/y")
               for i in range(conn.size)]
     payload = {
         "p": str(p),

@@ -18,7 +18,9 @@ which needs no numerics; its names are re-exported here.
 The Gelfand-Leray check ties the pieces to the flow module: for a
 Hamiltonian level family, d/dt of a period equals the period of the
 quotient form ``d omega / df``, and both sides are computed from traced
-real ovals.
+real ovals.  The numeric modules (``flow``, ``melnikov``,
+``foliation``) are imported by the functions that use them, so the
+exact connection loads none of them.
 """
 
 from __future__ import annotations
@@ -27,22 +29,21 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .brieskorn import (BrieskornBasis, brieskorn_basis,  # re-exported
                         brieskorn_reduce)
 from .errors import InputError, NumericError
-from .flow import CycleApprox
-from .foliation import hamiltonian
-from .forms import DifferentialForm
-from . import melnikov  # make_problem is read when called: a tracer may swap it
-from .melnikov import N_MAX, cycle_at, m1_on_cycle, node_doubling
 from .monodromy import (_critical_values, _descending, _genericity_failure,
                         _match_roots, _polished_roots, _real_fraction_coeffs)
 from .poly import Poly
 from .ratfunc import RatFrac, UPoly, fiber_bezout, tx_add, tx_divmod, tx_mul
+
+if TYPE_CHECKING:
+    from .flow import CycleApprox
+    from .forms import DifferentialForm
 
 PERIOD_REL_TOL = 1e-11
 GL_REL_TOL = 1e-10      # node doubling on both sides of Gelfand-Leray
@@ -133,6 +134,7 @@ def _continued_sqrt(w: np.ndarray) -> np.ndarray:
 def _contour_quad(coeffs: np.ndarray, t: complex, roots: np.ndarray, pair: int,
                   fn: Callable) -> complex:
     """Integrate fn(z, y, dz) over the pair contour, doubling nodes."""
+    from .melnikov import N_MAX, node_doubling
     z_of, dz_of = _pair_contour(roots, pair)
     ct = coeffs.copy()
     ct[-1] += t
@@ -324,6 +326,8 @@ def _eta_integral(cycle: CycleApprox, g_fn, fx_fn, fy_fn) -> float:
     expressions -(g/f_y) dx and (g/f_x) dy restrict to the same form on
     the level curve, so mixing them along the cycle is exact.
     """
+    from .melnikov import N_MAX, node_doubling
+
     def at(n):
         pts, w = cycle.quadrature_nodes(n)
         x, y = pts[:, 0], pts[:, 1]
@@ -356,6 +360,9 @@ def gelfand_leray_check(f: Poly, omega: DifferentialForm,
     sit below 1e-8 count as exact (an exact omega makes both
     sides zero, where a relative comparison has no meaning).
     """
+    from . import melnikov  # make_problem is read when called: a tracer may swap it
+    from .foliation import hamiltonian
+    from .melnikov import cycle_at, m1_on_cycle
     record = hamiltonian(f)
     prob = melnikov.make_problem(record, omega, center=center)
     two_form = omega.exterior_d()

@@ -3,13 +3,19 @@
 The Picard-Fuchs reduction works in the ring Q[t][x]: fiber polynomials
 ``q(x) = p(x) + t`` have coefficients polynomial in the level value t,
 and the one denominator, the critical-value polynomial chi(t), is known
-in advance.  Nothing here is numeric.
+in advance.  Nothing here is numeric, and the polynomial arithmetic runs
+on integers: a Fraction appears only as a single scalar (a leading
+coefficient, a trace of ``fiber_adjugate``) and in the ``coeffs`` view.
 
-``UPoly``   dense polynomial over Fraction, trailing zeros stripped.
-``upoly_gcd`` the monic gcd over Q, by Brown's modular algorithm.
+``UPoly``   a polynomial in Q[t] as integer numerators (ascending) over
+            one positive denominator, canonical: no trailing zero and
+            ``gcd(den, *num) == 1``, so equality is structural.
+            ``coeffs`` is the derived Fraction view of the coefficients.
+``upoly_gcd`` the monic gcd over Q with its two cofactors, by Brown's
+            modular algorithm.
 ``RatFrac`` a Picard-Fuchs entry put in lowest terms for printing: a
-            numerator over chi(t) with the common factor cancelled and
-            the denominator made monic.
+            numerator over chi(t) divided by their gcd, read off the
+            cofactors, with the denominator made monic.
 ``tx_*``    helpers treating ``list[UPoly]`` as polynomials in x over Q[t].
 ``fiber_*`` the critical-value polynomial chi(t) and the Bezout
             cofactors of ``(p + t, p')``.
@@ -25,58 +31,85 @@ from .errors import InputError
 from .poly import join_terms
 
 
-class UPoly:
-    """Dense univariate polynomial over Q, coefficients ascending,
-    printed in the variable t."""
+def _make(num: list[int], den: int) -> "UPoly":
+    """The canonical ``num / den`` for integer numerators (the list is
+    consumed) and a positive integer denominator."""
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    u = object.__new__(UPoly)
+    u.num, u.den = tuple(num), den
+    return u
 
-    __slots__ = ("coeffs",)
+
+class UPoly:
+    """Univariate polynomial over Q, printed in the variable t: the
+    integer numerators ``num`` of the coefficients, ascending, over the
+    positive denominator ``den``, in canonical form."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        u = _make([c.numerator * (den // c.denominator) for c in cs], den)
+        self.num, self.den = u.num, u.den
 
-    @classmethod
-    def zero(cls) -> "UPoly":
-        return cls(())
+    @staticmethod
+    def zero() -> "UPoly":
+        return _make([], 1)
 
-    @classmethod
-    def one(cls) -> "UPoly":
-        return cls((1,))
+    @staticmethod
+    def one() -> "UPoly":
+        return _make([1], 1)
 
-    @classmethod
-    def constant(cls, c) -> "UPoly":
-        return cls((c,))
+    @staticmethod
+    def constant(c) -> "UPoly":
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        return _make([c.numerator], c.denominator)
 
-    @classmethod
-    def x(cls) -> "UPoly":
-        return cls((0, 1))
+    @staticmethod
+    def x() -> "UPoly":
+        return _make([0, 1], 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise InputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __add__(self, other):
         if not isinstance(other, UPoly):
             other = UPoly.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UPoly(a)
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            sa, sb = other.den // g, den // g
+            a, b, den = [c * sa for c in a], [c * sb for c in b], den * sa
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _make(out, den)
 
     def __neg__(self):
-        return UPoly([-c for c in self.coeffs])
+        return _make([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, UPoly):
@@ -85,42 +118,51 @@ class UPoly:
 
     def __mul__(self, other):
         if not isinstance(other, UPoly):
-            other = UPoly.constant(other)
-        if self.is_zero or other.is_zero:
+            f = other if isinstance(other, Fraction) else Fraction(other)
+            return _make([c * f.numerator for c in self.num],
+                         self.den * f.denominator)
+        a, b = self.num, other.num
+        if not a or not b:
             return UPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _make(out, self.den * other.den)
 
     def __divmod__(self, other: "UPoly"):
+        """Quotient and remainder over Q by pseudo-division: each step
+        scales the running remainder only by ``lc / gcd(lc, top)``, and
+        ``s`` collects those factors, so ``s * num = q * other.num + rem``."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlc = other.lc()
-        dd = other.degree
-        q = [Fraction(0)] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlc
-            q[k] = f
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] -= f * c
-            rem.pop()
-        return UPoly(q), UPoly(rem)
+        b, dd = other.num, other.degree
+        lc = b[-1]
+        rem, s = list(self.num), 1
+        q = [0] * max(0, len(rem) - dd)
+        for k in range(len(q) - 1, -1, -1):
+            top = rem.pop()
+            if top:
+                g = gcd(top, lc)
+                f, c = abs(lc) // g, top // g if lc > 0 else -top // g
+                if f != 1:
+                    rem = [x * f for x in rem]
+                    q = [x * f for x in q]
+                    s *= f
+                q[k] = c
+                for j in range(dd):
+                    rem[k + j] -= c * b[j]
+        # self = (q / s) other.num / self.den + rem / (s self.den)
+        return (_make([x * other.den for x in q], s * self.den),
+                _make(rem, s * self.den))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def __eq__(self, other):
         if isinstance(other, UPoly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == UPoly.constant(other)
         return NotImplemented
@@ -131,16 +173,24 @@ class UPoly:
     def monic(self) -> "UPoly":
         if self.is_zero:
             return self
-        l = self.lc()
-        return UPoly([c / l for c in self.coeffs])
+        l = self.num[-1]
+        if l < 0:
+            return _make([-c for c in self.num], -l)
+        return _make(list(self.num), l)
 
     def diff(self) -> "UPoly":
-        return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _make([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def to_str(self) -> str:
+        den = self.den
+
+        def magnitude(c):       # |c| / den as a Fraction prints
+            g = gcd(c, den)
+            return abs(c) // g if g == den else f"{abs(c) // g}/{den // g}"
+
         return join_terms(
-            (c < 0, abs(c), "" if i == 0 else "t" if i == 1 else f"t^{i}")
-            for i, c in reversed(list(enumerate(self.coeffs))) if c)
+            (c < 0, magnitude(c), "" if i == 0 else "t" if i == 1 else f"t^{i}")
+            for i, c in reversed(list(enumerate(self.num))) if c)
 
     def __repr__(self):
         return f"UPoly({self.to_str()!r})"
@@ -167,19 +217,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# the largest primes below 2^31: testing them again in every gcd call
+# costs about 20 us a call, and almost every call needs only the first
+_FIRST_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
+                 2147483563, 2147483549, 2147483543, 2147483497)
+
+
 def _primes():
     """The moduli of ``upoly_gcd``: the primes below 2^31, descending."""
-    n = 2**31 - 1
+    yield from _FIRST_PRIMES
+    n = _FIRST_PRIMES[-1] - 2
     while True:
         if _is_prime(n):
             yield n
         n -= 2
-
-
-def _integral(a: UPoly) -> list[int]:
-    """``a`` times the lcm of its denominators, as integers."""
-    l = lcm(*(c.denominator for c in a.coeffs))
-    return [c.numerator * (l // c.denominator) for c in a.coeffs]
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -211,34 +262,40 @@ def _rational(u: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _divides(c: list[int], a: list[int]) -> bool:
-    """Whether the primitive ``c`` divides ``a`` in Z[t] (so also in Q[t])."""
+def _quotient(c: tuple[int, ...], a: tuple[int, ...]) -> list[int] | None:
+    """``a / c`` in Z[t] for a primitive ``c``, or None when c does not
+    divide a (in Z[t], so by Gauss's lemma not in Q[t] either)."""
     rem, lc, dc = list(a), c[-1], len(c) - 1
-    for k in range(len(a) - 1 - dc, -1, -1):
-        q, r = divmod(rem[k + dc], lc)
+    q = [0] * max(0, len(a) - dc)
+    for k in range(len(q) - 1, -1, -1):
+        qk, r = divmod(rem[k + dc], lc)
         if r:
-            return False
-        if q:
+            return None
+        if qk:
+            q[k] = qk
             for j in range(dc):
-                rem[k + j] -= q * c[j]
-    return not any(rem[:dc])
+                rem[k + j] -= qk * c[j]
+    return None if any(rem[:dc]) else q
 
 
-def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic gcd over Q (zero only for two zeros), by Brown's modular
-    algorithm (JACM 18, 1971).
+def upoly_gcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
+    """``(g, a / g, b / g)`` for the monic gcd g over Q (zero only for two
+    zeros, with zero cofactors), by Brown's modular algorithm (JACM 18,
+    1971).
 
-    With denominators cleared, the gcd modulo a prime that divides
-    neither leading coefficient has at least the degree of the true one,
-    so degree 0 at one prime proves the inputs coprime.  Otherwise the
-    images of the lowest degree seen are combined by CRT, their
-    coefficients read back by rational reconstruction, and the candidate
-    is accepted only when it divides both inputs exactly; every further
-    prime either lowers the degree or enlarges the modulus.
+    The integer numerators of a and b are their denominators cleared.
+    The gcd modulo a prime that divides neither leading coefficient has
+    at least the degree of the true one, so degree 0 at one prime proves
+    the inputs coprime.  Otherwise the images of the lowest degree seen
+    are combined by CRT, their coefficients read back by rational
+    reconstruction, and the candidate is accepted only when it divides
+    both numerators exactly; those quotients are the cofactors.  Every
+    further prime either lowers the degree or enlarges the modulus.
     """
     if a.is_zero or b.is_zero:
-        return (b if a.is_zero else a).monic()
-    ia, ib = _integral(a), _integral(b)
+        g = (b if a.is_zero else a).monic()
+        return (g, a, b) if g.is_zero else (g, divmod(a, g)[0], divmod(b, g)[0])
+    ia, ib = a.num, b.num
     lead = ia[-1] * ib[-1]
     size, m, crt = len(ia) + len(ib), 1, []     # no image is that long
     for p in _primes():
@@ -246,7 +303,7 @@ def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
             continue
         img = _gcd_mod([c % p for c in ia], [c % p for c in ib], p)
         if len(img) == 1:
-            return UPoly.one()
+            return UPoly.one(), a, b
         if len(img) > size:
             continue                                # an unlucky prime
         if len(img) < size:
@@ -256,14 +313,19 @@ def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
         m *= p
         coeffs = [_rational(u, m) for u in crt]
         if None not in coeffs:
-            g = UPoly(coeffs)
-            z = _integral(g)
-            if _divides(z, ia) and _divides(z, ib):
-                return g
+            g = UPoly(coeffs)       # monic and canonical: num is primitive
+            qa, qb = _quotient(g.num, ia), _quotient(g.num, ib)
+            if qa is not None and qb is not None:
+                # a = g.num qa / a.den = g (g.den qa / a.den)
+                return (g, _make([c * g.den for c in qa], a.den),
+                        _make([c * g.den for c in qb], b.den))
 
 
 class RatFrac:
-    """Quotient of two UPoly in lowest terms, monic denominator."""
+    """Quotient of two UPoly in lowest terms, monic denominator.  The
+    cofactors of ``upoly_gcd`` are the reduced numerator and denominator;
+    both are divided by the latter's leading coefficient, and nothing is
+    divided by the gcd a second time."""
 
     __slots__ = ("num", "den")
 
@@ -273,14 +335,10 @@ class RatFrac:
         if num.is_zero:
             self.num, self.den = UPoly.zero(), UPoly.one()
             return
-        g = upoly_gcd(num, den)
-        if g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
+        _, num, den = upoly_gcd(num, den)
         l = den.lc()
         if l != 1:
-            num = UPoly([c / l for c in num.coeffs])
-            den = UPoly([c / l for c in den.coeffs])
+            num, den = num * (1 / l), den.monic()
         self.num, self.den = num, den
 
     def to_str(self) -> str:
@@ -345,26 +403,34 @@ def fiber_adjugate(p: Sequence[Fraction]) -> tuple[UPoly, list[UPoly]]:
     first column of adj(tI + M), which read in the basis ``x^i`` is v0.
     Every matrix of the pass is a polynomial in B, so it is kept as the
     residue it multiplies by, and traces come from the power sums of the
-    roots of p'.
+    roots of p'.  With ``d`` the integer numerators of p' and ``l`` their
+    leading one, the k-th power sum times ``l^k`` is an integer, so each
+    trace is one integer over ``l^(n-1)`` times the residue's denominator.
     """
     up = UPoly(p)
     dp = up.diff()
-    n, a = dp.degree, dp.monic().coeffs
-    sums = [Fraction(n)]                    # Newton's identities for p'
+    d, n = dp.num, dp.degree
+    l = d[-1]
+    sums = [n]                      # Newton's identities for p', times l^k
     for k in range(1, n):
-        sums.append(-k * a[n - k]
-                    - sum(a[n - i] * sums[k - i] for i in range(1, k)))
+        sums.append(-k * d[n - k] * l ** (k - 1)
+                    - sum(d[n - i] * l ** (i - 1) * sums[k - i]
+                          for i in range(1, k)))
+    weights = [s * l ** (n - 1 - i) for i, s in enumerate(sums)]
     neg_r = -(up % dp)
     # N_0 = 1; N_k = B N_(k-1) + c_k with c_k = -tr(B N_(k-1)) / k
     nk, cs, firsts = UPoly.one(), [Fraction(1)], []
     for k in range(1, n + 1):
-        firsts.append(nk.coeffs + (Fraction(0),) * (n - len(nk.coeffs)))
+        firsts.append(nk)
         bn = (neg_r * nk) % dp
-        cs.append(-sum(c * s for c, s in zip(bn.coeffs, sums)) / k)
+        cs.append(Fraction(-sum(c * w for c, w in zip(bn.num, weights)),
+                           k * l ** (n - 1) * bn.den))
         nk = bn + cs[-1]
     chi = UPoly(cs[::-1])
-    v0 = tx_trim([UPoly([firsts[n - 1 - e][i] for e in range(n)])
-                  for i in range(n)])
+    # v0[i] has coefficient i of N_(n-1-e) at t^e
+    den = lcm(*(f.den for f in firsts))
+    v0 = tx_trim([_make([f.num[i] * (den // f.den) if i < len(f.num) else 0
+                         for f in reversed(firsts)], den) for i in range(n)])
     return chi, v0
 
 
@@ -372,9 +438,8 @@ def fiber_bezout(p: Sequence[Fraction]):
     """``(chi, v0, w)`` with ``v0 (p + t) - w p' = chi``: the cofactors of
     ``fiber_adjugate`` and w from one exact division by p'."""
     chi, v0 = fiber_adjugate(p)
-    up = UPoly(p)
-    dp = up.diff()
-    pt = tx_add([UPoly.constant(c) for c in up.coeffs], [UPoly.x()])
+    dp = UPoly(p).diff()
+    pt = tx_add([UPoly.constant(c) for c in p], [UPoly.x()])
     w = tx_divmod(tx_add(tx_mul(pt, v0), [-chi]),
-                  [UPoly.constant(c) for c in dp.coeffs])[0]
+                  [_make([c], dp.den) for c in dp.num])[0]
     return chi, v0, w

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from folia import cli, formats, monodromy, ode
+from folia import braid, cli, formats, ode
 from folia.errors import InputError, NumericError
 from folia.poly import parse_poly
 
@@ -109,14 +109,14 @@ def test_monodromy_with_fallbacks_prints_only_its_document(monkeypatch,
     # a fiber some of whose continued samples fail their certificate and
     # are eigensolved again; a numpy warning would be an error here
     failed = []
-    certify = monodromy._aberth_certified
+    certify = braid._aberth_certified
 
     def count_failed(*args):
         ok = certify(*args)
         failed.append(int((~ok).sum()))
         return ok
 
-    monkeypatch.setattr(monodromy, "_aberth_certified", count_failed)
+    monkeypatch.setattr(braid, "_aberth_certified", count_failed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli.run(["monodromy", "--p", "2*x^4 + x^3 - 6*x^2 + 5*x + 1"])
@@ -135,6 +135,36 @@ def test_picard_fuchs_command(capsys):
         ["(-1/6*t)/(t^2 - 4)", "(1/3)/(t^2 - 4)"],
         ["(-1/3)/(t^2 - 4)", "(1/6*t)/(t^2 - 4)"],
     ]
+
+
+def test_picard_fuchs_basis_follows_var(capsys):
+    # the basis is labelled in the letter of --var; the matrix is the same
+    code, doc = run_json(capsys, ["picard-fuchs", "--p", "u^4 - 3*u + 1",
+                                  "--var", "u"])
+    assert code == 0
+    assert doc["basis"] == ["du/y", "u*du/y", "u^2*du/y"]
+    assert doc["p"] == "u^4 - 3*u + 1"
+    _, ref = run_json(capsys, ["picard-fuchs", "--p", "x^4 - 3*x + 1"])
+    assert ref["basis"] == ["dx/y", "x*dx/y", "x^2*dx/y"]
+    assert doc["matrix"] == ref["matrix"]
+    assert doc["critical_values"] == ref["critical_values"]
+
+
+def test_picard_fuchs_refuses_the_letters_it_prints(monkeypatch, capsys):
+    # t is the level in the matrix entries, y the fiber's other coordinate:
+    # either as --var used to print a document that reads wrongly
+    cases = [("t", "the level t in the matrix entries"),
+             ("y", "y in the fiber y^2 = p + t and its basis")]
+    for var, where in cases:
+        argv = ["picard-fuchs", "--p", f"{var}^3 - 3*{var}", "--var", var]
+        monkeypatch.setattr(sys, "argv", ["folia", *argv])
+        with pytest.raises(SystemExit) as ei:
+            cli.main()
+        assert ei.value.code == 2, var
+        out, err = capsys.readouterr()
+        assert out == ""
+        message = f"--var {var} clashes with {where}; choose another letter"
+        assert err == json.dumps({"error": message, "exit_code": 2}) + "\n"
 
 
 def test_brieskorn_command(capsys, tmp_path):

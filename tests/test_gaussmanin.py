@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -25,11 +26,12 @@ from folia.gaussmanin import (
     picard_fuchs,
 )
 from folia.monodromy import _genericity_failure, _real_fraction_coeffs
-from folia.poly import Poly, resultant
+from folia.poly import MAX_PARSE_DEGREE, Poly, resultant
 from folia.ratfunc import RatFrac, UPoly, fiber_bezout, tx_add, tx_mul, upoly_gcd
 
 GOLDEN = Path(__file__).parent / "data" / "picard_fuchs_golden.json"
 HIGH_GOLDEN = Path(__file__).parent / "data" / "picard_fuchs_high_golden.json"
+TOP_DIGESTS = Path(__file__).parent / "data" / "picard_fuchs_top_digests.json"
 
 X = ("x",)
 XY = ("x", "y")
@@ -123,6 +125,27 @@ def test_pf_high_degree_matches_the_record():
         took = time.perf_counter() - t0
         assert entries == e["entries"], e["degree"]
     assert took < 2.0
+
+
+def test_pf_top_of_the_parse_budget_matches_the_digests():
+    # degree 18 to 24 (MAX_PARSE_DEGREE), recorded with Fraction
+    # coefficients; picard_fuchs and entry_strings() at degree 24 within
+    # 2 s (about 2.2 s on Fraction coefficients, 0.4 s on integers)
+    fibers = json.loads(TOP_DIGESTS.read_text())["fibers"]
+    assert [e["degree"] for e in fibers] == list(range(18, MAX_PARSE_DEGREE + 1))
+    for e in fibers:
+        t0 = time.perf_counter()
+        conn = picard_fuchs(P(e["p"], X))
+        entries = conn.entry_strings()
+        took = time.perf_counter() - t0
+        cvs = [[c.real, c.imag] for c in conn.critical_values]
+        assert _sha256(json.dumps(entries)) == e["entries_sha256"], e["degree"]
+        assert _sha256(json.dumps(cvs)) == e["critical_values_sha256"], e["degree"]
+    assert took < 2.0
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_pf_reduces_entries_only_when_printed(monkeypatch):
@@ -415,18 +438,22 @@ def test_upoly_gcd_matches_sympy(monkeypatch):
         g = draw(rng.randint(1, 5), height) if k % 2 else UPoly.one()
         a = draw(rng.randint(0, 7), 9) * g
         b = draw(rng.randint(0, 7), 9) * g
-        got = upoly_gcd(a, b)
+        got, qa, qb = upoly_gcd(a, b)
         assert got == _sympy_gcd(a, b), (a, b)
-        assert upoly_gcd(b, a) == got
+        assert got * qa == a and got * qb == b
+        assert upoly_gcd(b, a) == (got, qb, qa)
         planted += got.degree > 0
     assert planted == 40
     assert max(used) >= 4
     c, u = UPoly([Fraction(3, 4)]), UPoly([Fraction(1, 2), 0, 3])
     zero = UPoly()
-    assert upoly_gcd(zero, zero) == zero == _sympy_gcd(zero, zero)
+    assert upoly_gcd(zero, zero) == (zero, zero, zero)
+    assert _sympy_gcd(zero, zero) == zero
     for a, b in ((u, zero), (zero, u), (c, u), (u, c), (c, zero), (c, c)):
-        assert upoly_gcd(a, b) == _sympy_gcd(a, b)
-    assert upoly_gcd(u, zero).coeffs == (Fraction(1, 6), 0, 1)
+        g, qa, qb = upoly_gcd(a, b)
+        assert g == _sympy_gcd(a, b)
+        assert g * qa == a and g * qb == b
+    assert upoly_gcd(u, zero)[0].coeffs == (Fraction(1, 6), 0, 1)
 
 
 def test_upoly_gcd_survives_an_unlucky_first_prime(monkeypatch):
@@ -437,12 +464,13 @@ def test_upoly_gcd_survives_an_unlucky_first_prime(monkeypatch):
     monkeypatch.setattr(ratfunc, "_primes",
                         lambda: itertools.chain([101], primes()))
     g = UPoly([1, 1, 1])
-    assert upoly_gcd(g * UPoly([1, 1]), g * UPoly([102, 1])) == g
-    assert upoly_gcd(UPoly([1, 1]), UPoly([102, 1])) == UPoly.one()
+    assert upoly_gcd(g * UPoly([1, 1]), g * UPoly([102, 1])) == (
+        g, UPoly([1, 1]), UPoly([102, 1]))
+    assert upoly_gcd(UPoly([1, 1]), UPoly([102, 1]))[0] == UPoly.one()
     # a prime that divides a leading coefficient is skipped: modulo 101
     # the common factor 101 t + 1 would become a unit
     h = UPoly([1, 101])
-    assert upoly_gcd(h * UPoly([2, 1]), h * UPoly([3, 1])) == h.monic()
+    assert upoly_gcd(h * UPoly([2, 1]), h * UPoly([3, 1]))[0] == h.monic()
 
 
 def test_ratfrac_lowest_terms_and_text():

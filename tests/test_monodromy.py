@@ -10,15 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from folia import monodromy, parse_poly
+from folia import braid, parse_poly
 from folia.acceptance import _det_int
-from folia.errors import InputError, NumericError
-from folia.monodromy import (
+from folia.braid import (
     _aberth_certified,
     _continued_roots,
     _loop_samples,
     _roots_along,
     _Tracker,
+)
+from folia.errors import InputError, NumericError
+from folia.monodromy import (
     build_model,
     chain_intersection,
     cycle_at_infinity,
@@ -274,7 +276,7 @@ def test_continued_rows_are_np_roots_within_the_certified_bound():
                 continued += 1
                 c = m._coeffs.copy()
                 c[-1] += t
-                bound = monodromy.CERT_REL * (1.0 + np.abs(row).max())
+                bound = braid.CERT_REL * (1.0 + np.abs(row).max())
                 radii = _weierstrass(c, row)
                 assert radii.max() < bound
                 gaps = np.abs(row[:, None] - row[None, :])
@@ -294,14 +296,14 @@ def test_rows_that_fail_the_certificate_are_eigensolved(monkeypatch):
     path = _loop_ts(m, 0)[:80]     # no t twice, so a t names its row
     ts = np.concatenate([path[:40], [2.0, 2.0], path[40:]])
     collided = []
-    certify = monodromy._aberth_certified
+    certify = braid._aberth_certified
 
     def colliding_seeds(coeffs, t, z):
         z[1, ::3] = z[0, ::3]   # every third row starts two roots together
         collided.extend(t[::3].tolist())
         return certify(coeffs, t, z)
 
-    monkeypatch.setattr(monodromy, "_aberth_certified", colliding_seeds)
+    monkeypatch.setattr(braid, "_aberth_certified", colliding_seeds)
     got = _continued_roots(m._coeffs, ts)
     want = _roots_along(m._coeffs, ts)
     same = [np.array_equal(a, b) for a, b in zip(got, want)]
@@ -311,7 +313,7 @@ def test_rows_that_fail_the_certificate_are_eigensolved(monkeypatch):
 
 
 def test_the_certificate_needs_disjoint_disks_and_small_radii(monkeypatch):
-    monkeypatch.setattr(monodromy, "ABERTH_SWEEPS", 0)   # certify the seeds
+    monkeypatch.setattr(braid, "ABERTH_SWEEPS", 0)   # certify the seeds
     e = 2.0 ** -44
     # roots 0, e and 3; every value below is exact in binary floating point
     c = np.array([1.0, -(3.0 + e), 3.0 * e, 0.0], dtype=complex)
@@ -320,7 +322,7 @@ def test_the_certificate_needs_disjoint_disks_and_small_radii(monkeypatch):
     # radii 0, 3e/2 and 0, far below the bound, but the disk about e/2
     # covers 0: it holds two roots
     overlapping = np.array([[0.0], [e / 2], [3.0]], dtype=complex)
-    assert _weierstrass(c, overlapping[:, 0]).max() < monodromy.CERT_REL
+    assert _weierstrass(c, overlapping[:, 0]).max() < braid.CERT_REL
     assert _aberth_certified(c, np.zeros(1), overlapping).tolist() == [False]
     # roots 0, 1 and 3, seeds 2^-20 off: disjoint disks, one root apiece,
     # each about 3e-6 wide
@@ -345,7 +347,7 @@ def test_eigvals_sees_one_sample_in_sixteen_plus_the_fallbacks(monkeypatch):
     m = build_model(P("3*x^8 + x^7 + 3*x^6 - 3*x^5 + 4*x^4 + 4*x^3 + 2*x^2"
                       " - 4*x - 2"))
     seen, failed = [0], [0]
-    eigvals, certify = np.linalg.eigvals, monodromy._aberth_certified
+    eigvals, certify = np.linalg.eigvals, braid._aberth_certified
 
     def count_eigvals(a):
         seen[0] += len(a)
@@ -357,13 +359,13 @@ def test_eigvals_sees_one_sample_in_sixteen_plus_the_fallbacks(monkeypatch):
         return ok
 
     monkeypatch.setattr(np.linalg, "eigvals", count_eigvals)
-    monkeypatch.setattr(monodromy, "_aberth_certified", count_failed)
+    monkeypatch.setattr(braid, "_aberth_certified", count_failed)
     total = 0
     for j in range(len(m.critical_values)):
         ts = _loop_ts(m, j)
         seen[0] = failed[0] = 0
         _continued_roots(m._coeffs, ts)
-        assert seen[0] <= -(-len(ts) // monodromy.ANCHOR_STRIDE) + failed[0]
+        assert seen[0] <= -(-len(ts) // braid.ANCHOR_STRIDE) + failed[0]
         assert failed[0] <= len(ts) // 100
         total += len(ts)
     assert total > 3000
@@ -387,7 +389,7 @@ def _order_reference(row, tol):
 
 def test_projection_orders_follow_the_tie_rule():
     tracker = _Tracker(build_model(P("x^3 - 3*x")), 0)
-    tol = monodromy.TIE_REL * tracker.scale
+    tol = braid.TIE_REL * tracker.scale
     rng = random.Random(5150)
     tied = 0
     for n in range(3, 9):
@@ -476,15 +478,15 @@ def test_every_order_change_is_read():
 def test_a_rejected_operator_fails_at_once_naming_the_loop(monkeypatch):
     m = build_model(P("x^3 - 3*x"))
     loops = []
-    samples = monodromy._loop_samples
+    samples = braid._loop_samples
 
     def counted(model, j):
         loops.append(j)
         return samples(model, j)
 
-    monkeypatch.setattr(monodromy, "_loop_samples", counted)
+    monkeypatch.setattr(braid, "_loop_samples", counted)
     # no operator is then the twist by its vanishing cycle
-    monkeypatch.setattr(monodromy, "twist_matrix", lambda inter, delta: ())
+    monkeypatch.setattr(braid, "twist_matrix", lambda inter, delta: ())
     with pytest.raises(NumericError, match=r"^braid extraction failed for "
                        r"critical value 0: operator is not the twist by its "
                        r"vanishing cycle$"):
@@ -494,8 +496,8 @@ def test_a_rejected_operator_fails_at_once_naming_the_loop(monkeypatch):
 
 def test_tracking_loss_names_the_loop_and_the_interval(monkeypatch):
     m = build_model(P("x^3 - 3*x"))
-    monkeypatch.setattr(monodromy, "MAX_DEPTH", 0)
-    monkeypatch.setattr(monodromy, "MATCH_FRACTION", 1e-12)
+    monkeypatch.setattr(braid, "MAX_DEPTH", 0)
+    monkeypatch.setattr(braid, "MATCH_FRACTION", 1e-12)
     with pytest.raises(NumericError) as exc:
         monodromy_generators(m)
     msg = str(exc.value)
